@@ -1,13 +1,11 @@
 """Agglomerative clustering on dissimilarity matrices and the CER metric.
 
 Complete linkage only: the distance between clusters is the largest
-dissimilarity across them, which makes merge heights nondecreasing. The
-merge loop is written against a generic update rule, but only complete
-linkage is part of the tested surface. Nodes are numbered like linkage
-matrices elsewhere: leaves 0..n-1, the merge at step t creates node n+t.
-Ties in the minimum distance resolve to the lexicographically smallest
-(node, node) pair; children of each merge are recorded with the cluster
-containing the smallest leaf first.
+dissimilarity across them, which makes merge heights nondecreasing. Nodes
+are numbered like linkage matrices elsewhere: leaves 0..n-1, the merge at
+step t creates node n+t. Ties in the minimum distance resolve to the
+lexicographically smallest (node, node) pair; children of each merge are
+recorded with the cluster containing the smallest leaf first.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ import numpy as np
 from .count_matrix import Partition
 from .dissimilarity import DissimilarityMatrix
 from .errors import PoiskitError, ValidationError
-
-_LINKAGE_UPDATES = {"complete": max}
-
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
@@ -52,9 +47,8 @@ class Dendrogram:
         return self.merges[:, 2]
 
 
-def complete_linkage(d: DissimilarityMatrix, linkage: str = "complete") -> Dendrogram:
+def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
     """Agglomerate by repeatedly merging the closest pair of clusters."""
-    update = _LINKAGE_UPDATES[linkage]
     n = d.n
     if n < 2:
         raise ValidationError("clustering needs at least 2 observations")
@@ -77,7 +71,7 @@ def complete_linkage(d: DissimilarityMatrix, linkage: str = "complete") -> Dendr
         new = n + step
         for x in active:
             if x != u and x != v:
-                merged = update(dist[u, x], dist[v, x])
+                merged = max(dist[u, x], dist[v, x])
                 dist[new, x] = merged
                 dist[x, new] = merged
         active.remove(u)

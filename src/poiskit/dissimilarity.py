@@ -15,6 +15,10 @@ multinomial likelihood-ratio statistic and is not meant for analysis.
 The n x n matrix is stored condensed: entry (i, j) with i < j lives at
 linear index n*i - i*(i+1)/2 + (j - i - 1), the diagonal is implicitly
 zero, and each pair is computed exactly once, so symmetry is structural.
+Row i's pairs (i, j > i) form one contiguous slice, filled a tile at a
+time: row i against the next max(1, _TILE_ELEMENTS // p) rows, evaluated
+by the vectorized kernel that also computes a single pair. Threads take
+whole rows, so they write disjoint slots and never change the result.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .size_factors import canonical_method, estimate_size_factors
 from .transform import find_alpha
 
 MEASURES = ("poisson", "sq-euclidean")
+_TILE_ELEMENTS = 16_384
 
 
 def condensed_index(i: int, j: int, n: int) -> int:
@@ -103,41 +108,75 @@ class DissimilarityMatrix:
         return DissimilarityMatrix(condensed, tuple(ids), measure, method)
 
 
-def _pair_size_factors(x1: np.ndarray, x2: np.ndarray, method: str) -> tuple[float, float]:
+class _RowError(ValidationError):
+    """A pair precondition that fails at row ``row`` of a block."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row's usable entries, given flat in row-major order."""
+    padded = np.full(usable.shape, np.inf)
+    padded[usable] = ratios
+    padded.sort(axis=1)
+    m = usable.sum(axis=1)
+    rows = np.arange(m.size)
+    lo, hi = padded[rows, (m - 1) // 2], padded[rows, m // 2]
+    return np.where(m % 2 == 1, lo, (lo + hi) / 2.0)
+
+
+def _pair_size_factors(x: np.ndarray, Y: np.ndarray, method: str):
+    """Pair-restricted size factors of ``x`` and of each row of ``Y``."""
     if method == "total-count":
-        t1, t2 = float(x1.sum()), float(x2.sum())
-        if t1 <= 0 or t2 <= 0:
-            raise ValidationError("zero total count in pair")
-        total = t1 + t2
-        return t1 / total, t2 / total
-    if method == "quantile":
-        q1 = float(np.percentile(x1, 75))
-        q2 = float(np.percentile(x2, 75))
-        if q1 <= 0 or q2 <= 0:
-            raise ValidationError("zero 75th percentile in pair")
-        total = q1 + q2
-        return q1 / total, q2 / total
-    usable = (x1 > 0) & (x2 > 0)
-    if not usable.any():
-        raise ValidationError(
+        f1, f2 = x.sum(), Y.sum(axis=1)
+        bad, message = (f1 <= 0) | (f2 <= 0), "zero total count in pair"
+    elif method == "quantile":
+        f1, f2 = np.percentile(x, 75), np.percentile(Y, 75, axis=1)
+        bad, message = (f1 <= 0) | (f2 <= 0), "zero 75th percentile in pair"
+    else:
+        # ratios to a positive geometric mean are positive, so are their medians
+        usable = (x > 0) & (Y > 0)
+        bad = ~usable.any(axis=1)
+        message = (
             "no feature is positive in both observations; "
             "median-ratio is undefined for this pair"
         )
-    gm = np.exp(0.5 * (np.log(x1[usable]) + np.log(x2[usable])))
-    m1 = float(np.median(x1[usable] / gm))
-    m2 = float(np.median(x2[usable] / gm))
-    if m1 <= 0 or m2 <= 0:
-        raise ValidationError("zero median ratio in pair")
-    total = m1 + m2
-    return m1 / total, m2 / total
+        X = np.broadcast_to(x, Y.shape)
+        gm = np.exp(0.5 * (np.log(X[usable]) + np.log(Y[usable])))
+        f1 = _row_medians(X[usable] / gm, usable)
+        f2 = _row_medians(Y[usable] / gm, usable)
+    if bad.any():
+        raise _RowError(message, int(np.argmax(bad)))
+    total = f1 + f2
+    return f1 / total, f2 / total
 
 
 def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
     """x * log(x / n_hat) with the 0 log 0 := 0 convention."""
-    out = np.zeros_like(x)
+    out = np.zeros(n_hat.shape)
     mask = x > 0
     out[mask] = x[mask] * np.log(x[mask] / n_hat[mask])
     return out
+
+
+def _pair_block(x: np.ndarray, Y: np.ndarray, method: str, beta: float) -> np.ndarray:
+    """Dissimilarities between ``x`` and each row of ``Y``, on validated inputs."""
+    s1, s2 = _pair_size_factors(x, Y, method)
+    g = x + Y
+    n1 = s1[:, None] * g
+    n2 = s2[:, None] * g
+    if beta == 0.0:
+        X = np.broadcast_to(x, Y.shape)
+        terms = (n1 + n2) - g + (_xlog_ratio(X, n1) + _xlog_ratio(Y, n2))
+    else:
+        d1 = (x + beta) / (n1 + beta)
+        d2 = (Y + beta) / (n2 + beta)
+        terms = (n1 + n2) - (n1 * d1 + n2 * d2) + (x * np.log(d1) + Y * np.log(d2))
+    totals = terms.sum(axis=1)
+    # nonnegative up to rounding; snap accumulated round-off to zero
+    return np.where(totals > 0.0, totals, 0.0)
 
 
 def poisson_pair_dissimilarity(
@@ -159,20 +198,7 @@ def poisson_pair_dissimilarity(
         raise ValidationError("count vectors must be finite and nonnegative")
     if beta < 0:
         raise ValidationError("beta must be nonnegative")
-    method = canonical_method(method)
-    s1, s2 = _pair_size_factors(x1, x2, method)
-    g = x1 + x2
-    n1 = s1 * g
-    n2 = s2 * g
-    if beta == 0.0:
-        terms = (n1 + n2) - (x1 + x2) + (_xlog_ratio(x1, n1) + _xlog_ratio(x2, n2))
-    else:
-        d1 = (x1 + beta) / (n1 + beta)
-        d2 = (x2 + beta) / (n2 + beta)
-        terms = (n1 + n2) - (n1 * d1 + n2 * d2) + (x1 * np.log(d1) + x2 * np.log(d2))
-    total = float(terms.sum())
-    # nonnegative up to rounding; snap accumulated round-off to zero
-    return total if total > 0.0 else 0.0
+    return float(_pair_block(x1, x2[None, :], canonical_method(method), beta)[0])
 
 
 def multinomial_lrt(x_i, x_iprime) -> float:
@@ -205,26 +231,29 @@ def multinomial_lrt(x_i, x_iprime) -> float:
     )
 
 
-def _pairwise(values: np.ndarray, ids, pair_fn, threads: int | None) -> np.ndarray:
-    n = values.shape[0]
+def _pairwise(values: np.ndarray, ids, block_fn, threads: int | None) -> np.ndarray:
+    n, p = values.shape
     condensed = np.empty(n * (n - 1) // 2)
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    tile = max(1, _TILE_ELEMENTS // p)
 
-    def run(span):
-        for i, j in span:
-            try:
-                condensed[condensed_index(i, j, n)] = pair_fn(values[i], values[j])
-            except ValidationError as exc:
-                raise ValidationError(f"pair ('{ids[i]}', '{ids[j]}'): {exc}") from exc
+    def fill(rows):
+        for i in rows:
+            offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
+            for lo in range(i + 1, n, tile):
+                hi = min(lo + tile, n)
+                try:
+                    condensed[offset + lo : offset + hi] = block_fn(values[i], values[lo:hi])
+                except _RowError as exc:
+                    j = lo + exc.row
+                    raise ValidationError(f"pair ('{ids[i]}', '{ids[j]}'): {exc}") from exc
 
-    if threads is None or threads <= 1 or len(pairs) < 2:
-        run(pairs)
-    else:
-        workers = min(threads, len(pairs))
-        chunks = [pairs[w::workers] for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run, chunk) for chunk in chunks]:
-                future.result()
+    # the calling thread fills the first share of rows, pool threads the others
+    workers = max(1, min(threads or 1, n - 1))
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(fill, range(w, n - 1, workers)) for w in range(1, workers)]
+        fill(range(0, n - 1, workers))
+        for future in futures:
+            future.result()
     return condensed
 
 
@@ -238,19 +267,22 @@ def poisson_dissimilarity_matrix(
     """All pairwise Poisson dissimilarities between samples.
 
     With ``transform`` on, the calibration exponent is estimated once on
-    the whole matrix and applied before any pair is touched. Pairs are
-    independent; ``threads`` workers may compute them concurrently, writing
-    disjoint slots, so parallel output is bit-identical to serial.
+    the whole matrix and applied before any pair is touched. Rows of pairs
+    are independent; ``threads`` workers, the caller among them, fill them
+    concurrently into disjoint slots, so parallel output is bit-identical
+    to serial.
     """
     if matrix.n < 2:
         raise ValidationError("dissimilarity needs at least 2 observations")
+    if beta < 0:
+        raise ValidationError("beta must be nonnegative")
     method = canonical_method(method)
     if transform:
         matrix = find_alpha(matrix).matrix
     condensed = _pairwise(
         matrix.values,
         matrix.sample_ids,
-        lambda a, b: poisson_pair_dissimilarity(a, b, method, beta),
+        lambda x, Y: _pair_block(x, Y, method, beta),
         threads,
     )
     return DissimilarityMatrix(condensed, matrix.sample_ids, "poisson", method)
@@ -268,7 +300,7 @@ def sq_euclidean_dissimilarity_matrix(
     condensed = _pairwise(
         scaled,
         matrix.sample_ids,
-        lambda a, b: float(((a - b) ** 2).sum()),
+        lambda x, Y: ((x - Y) ** 2).sum(axis=1),
         threads=None,
     )
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
@@ -339,7 +371,12 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         with open(sidecar, encoding="utf-8") as handle:
-            meta = json.load(handle)
+            try:
+                meta = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON in {sidecar}: {exc.msg}", line=exc.lineno) from exc
+        if not isinstance(meta, dict):
+            raise ValidationError(f"{sidecar}: sidecar must be a JSON object")
         measure = meta.get("measure", measure)
         method = meta.get("method", method)
     return DissimilarityMatrix.from_full(np.asarray(rows), ids, measure, method)

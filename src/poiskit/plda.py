@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .count_matrix import CountMatrix, LabeledDataset
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
     canonical_method,
@@ -140,7 +140,7 @@ class PldaModel:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "PldaModel":
-        if obj.get("format") != "plda-model":
+        if not isinstance(obj, dict) or obj.get("format") != "plda-model":
             raise ValidationError("not a classifier model file")
         sf = None if obj["size_factors"] is None else SizeFactors.from_json(obj["size_factors"])
         return PldaModel(
@@ -476,5 +476,15 @@ def write_model(model: PldaModel, path) -> None:
 
 
 def read_model(path) -> PldaModel:
+    """Load a model file; malformed content raises an error naming the file."""
     with open(path, encoding="utf-8") as handle:
-        return PldaModel.from_json(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    try:
+        return PldaModel.from_json(obj)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: model has no {exc} field") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

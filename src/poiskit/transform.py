@@ -129,8 +129,7 @@ def find_alpha(matrix: CountMatrix) -> TransformResult:
         if abs(stat_mid - target) <= STAT_RTOL * target:
             return TransformResult(mid, stat_mid, target, True, apply_alpha(matrix, mid))
         if hi - lo < BRACKET_TOL:
-            converged = abs(stat_mid - target) <= STAT_RTOL * target
-            return TransformResult(mid, stat_mid, target, converged, apply_alpha(matrix, mid))
+            return TransformResult(mid, stat_mid, target, False, apply_alpha(matrix, mid))
         if stat_mid > target:
             hi = mid
         else:

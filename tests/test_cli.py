@@ -137,6 +137,33 @@ def test_predict_wrong_feature_count(sim_dir, tmp_path):
     ) == 2
 
 
+def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("{bad", encoding="utf-8")
+    assert run(
+        "predict", "--counts", sim_dir / "counts.tsv", "--model", model,
+        "--out-dir", tmp_path / "p",
+    ) == 2
+    assert f"invalid JSON in {model}" in capsys.readouterr().err
+
+
+def test_predict_model_missing_field_exits_2(sim_dir, tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    assert run(
+        "train", "--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv",
+        "--out-dir", train_dir,
+    ) == 0
+    model = json.loads((train_dir / "model.json").read_text())
+    del model["g_hat"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(model), encoding="utf-8")
+    assert run(
+        "predict", "--counts", sim_dir / "counts.tsv", "--model", broken,
+        "--out-dir", tmp_path / "p",
+    ) == 2
+    assert f"{broken}: model has no 'g_hat' field" in capsys.readouterr().err
+
+
 def test_cv_writes_selection(sim_dir, tmp_path):
     cv_dir = tmp_path / "cv"
     assert run(
@@ -208,6 +235,22 @@ def test_cluster_rejects_asymmetric_matrix(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("id\ta\tb\na\t0\t1\nb\t2\t0\n", encoding="utf-8")
     assert run("cluster", "--dissim", bad, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+
+
+def test_cluster_sidecar_not_json_exits_2(tmp_path, capsys):
+    dissim = tmp_path / "d.tsv"
+    dissim.write_text("id\ta\tb\na\t0\t1\nb\t1\t0\n", encoding="utf-8")
+    sidecar = tmp_path / "d.tsv.json"
+    sidecar.write_text("{", encoding="utf-8")
+    assert run("cluster", "--dissim", dissim, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+    assert f"invalid JSON in {sidecar}" in capsys.readouterr().err
+
+
+def test_dissim_feature_axis_all_zero_feature_exits_2(tmp_path, capsys):
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("id\tf0\tf1\tf2\ns0\t3\t0\t5\ns1\t4\t0\t2\ns2\t1\t0\t6\n", encoding="utf-8")
+    assert run("dissim", "--counts", counts, "--axis", "features", "--out-dir", tmp_path / "d") == 2
+    assert "pair ('f0', 'f1'): zero total count in pair" in capsys.readouterr().err
 
 
 def test_replicate_smoke(tmp_path):

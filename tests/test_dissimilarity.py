@@ -1,5 +1,7 @@
 """Poisson and squared-Euclidean dissimilarities."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,14 +134,27 @@ def test_posterior_mean_path_never_exceeds_mle_path():
 
 # --- matrices ---
 
-def test_matrix_matches_pair_oracle_per_entry():
+# 16,384 // 3,000 = 5 rows per tile: row 0 of 12 spans tiles of 5, 5 and 1
+MULTI_TILE = (12, 3000)
+
+
+@pytest.mark.parametrize("axis", ("samples", "features"))
+@pytest.mark.parametrize("beta", (0.0, 1.0))
+@pytest.mark.parametrize("method", METHODS)
+def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
     rng = np.random.default_rng(50)
-    m = matrix(rng.integers(1, 60, (3, 12)).astype(float))
-    dm = poisson_dissimilarity_matrix(m, transform=False)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ref = scalar_pair_dissimilarity(m.values[i], m.values[j], "total-count")
+    shape = MULTI_TILE if axis == "samples" else MULTI_TILE[::-1]
+    m = matrix(rng.integers(0, 60, shape).astype(float))
+    if axis == "samples":
+        dm, rows = poisson_dissimilarity_matrix(m, method, beta, transform=False), m.values
+    else:
+        dm = feature_dissimilarity_matrix(m, "poisson", method, beta, transform=False)
+        rows = m.values.T
+    for i in range(dm.n):
+        for j in range(i + 1, dm.n):
+            ref = scalar_pair_dissimilarity(rows[i], rows[j], method, beta)
             assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
+            assert dm.get(i, j) == poisson_pair_dissimilarity(rows[i], rows[j], method, beta)
 
 
 def test_matrix_identical_rows_entry_zero():
@@ -159,9 +174,14 @@ def test_matrix_transform_is_estimated_once_globally():
 
 def test_parallel_matches_serial_bitwise():
     rng = np.random.default_rng(52)
-    m = matrix(rng.integers(1, 80, (12, 60)).astype(float))
+    m = matrix(rng.integers(1, 80, MULTI_TILE).astype(float))
     serial = poisson_dissimilarity_matrix(m, transform=False, threads=1)
-    threaded = poisson_dissimilarity_matrix(m, transform=False, threads=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threaded = poisson_dissimilarity_matrix(m, transform=False, threads=5)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(serial.condensed, threaded.condensed)
 
 
@@ -178,6 +198,15 @@ def test_matrix_error_names_offending_pair():
     values = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]])
     with pytest.raises(ValidationError, match=r"\('s0', 's1'\)"):
         poisson_dissimilarity_matrix(matrix(values), transform=False)
+    # only s2 and s9 share no positive feature; s9 is in row 2's second tile
+    values = np.ones(MULTI_TILE)
+    values[2, MULTI_TILE[1] // 2 :] = 0.0
+    values[9, : MULTI_TILE[1] // 2] = 0.0
+    for threads in (1, 2):
+        with pytest.raises(ValidationError, match=r"^pair \('s2', 's9'\): no feature"):
+            poisson_dissimilarity_matrix(
+                matrix(values), "median-ratio", transform=False, threads=threads
+            )
 
 
 # --- squared Euclidean baseline ---
