@@ -24,6 +24,7 @@ from . import __version__
 from .clustering import cer, cer_sweep, complete_linkage, cut_tree, write_newick
 from .count_matrix import (
     Partition,
+    first_appearance_index,
     format_number,
     read_count_matrix,
     read_labels,
@@ -257,15 +258,12 @@ def cmd_cluster(args, out_dir: Path):
         if not args.labels:
             raise ValidationError("--sweep needs a --labels reference file")
         pairs = dict(read_two_column_tsv(args.labels))
-        order: list[str] = []
         for sid in dm.ids:
             if sid not in pairs:
                 raise ValidationError(f"no reference label for sample '{sid}'")
-            if pairs[sid] not in order:
-                order.append(pairs[sid])
-        index_of = {name: i + 1 for i, name in enumerate(order)}
+        index_of = first_appearance_index(pairs[sid] for sid in dm.ids)
         reference = Partition(
-            np.array([index_of[pairs[sid]] for sid in dm.ids]), len(order)
+            np.array([index_of[pairs[sid]] for sid in dm.ids]), len(index_of)
         )
         sweep = [{"k": k, "cer": value} for k, value in cer_sweep(dendrogram, reference)]
         _write_json(out_dir / "sweep.json", sweep)

@@ -6,6 +6,22 @@ are numbered like linkage matrices elsewhere: leaves 0..n-1, the merge at
 step t creates node n+t. Ties in the minimum distance resolve to the
 lexicographically smallest (node, node) pair; children of each merge are
 recorded with the cluster containing the smallest leaf first.
+
+The linkage keeps one n x n working matrix (O(n^2) memory) whose slots
+are reused: a merged cluster takes the lower slot of its two children and
+the other slot is set to infinity. Each row caches its nearest neighbour,
+the partner with the smallest node id among ties. A merge only refreshes
+the merged row and the rows whose cached partner was merged: other
+distances can only grow, and a new node id is larger than every existing
+one, so every other cache stays exact. The next merge is the smallest
+normalised (node, node) pair among the rows at the global minimum, which
+is the tie rule above. Heavy ties can still make most rows stale at every
+merge (all-equal distances), costing O(n^3) vectorized work.
+
+CER counts pairs exactly: pairs together in the prediction, together in
+the truth, and together in both. ``cer`` reads them off a contingency
+table; ``cer_sweep`` replays the merges once and updates the counts per
+merge, at most one step per true class.
 """
 
 from __future__ import annotations
@@ -52,33 +68,40 @@ def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
     n = d.n
     if n < 2:
         raise ValidationError("clustering needs at least 2 observations")
-    dist = np.zeros((2 * n - 1, 2 * n - 1))
-    dist[:n, :n] = d.full()
-    active = list(range(n))
+    dist = d.full()
+    np.fill_diagonal(dist, np.inf)
+    node = np.arange(n)  # node id held by each slot
+    nn = dist.argmin(axis=1)  # slot order is node order before the first merge
+    nn_d = dist[node, nn]
     min_leaf = list(range(n))
     sizes = [1] * n
     merges = np.empty((n - 1, 4))
+
+    def refresh(rows: np.ndarray) -> None:
+        block = dist[rows]
+        nn_d[rows] = low = block.min(axis=1)
+        nn[rows] = np.where(block == low[:, None], node, 2 * n).argmin(axis=1)
+
     for step in range(n - 1):
-        best_d, best_u, best_v = np.inf, -1, -1
-        for ai in range(len(active)):
-            u = active[ai]
-            for bi in range(ai + 1, len(active)):
-                v = active[bi]
-                duv = dist[u, v]
-                if duv < best_d:
-                    best_d, best_u, best_v = duv, u, v
-        u, v = best_u, best_v
-        new = n + step
-        for x in active:
-            if x != u and x != v:
-                merged = max(dist[u, x], dist[v, x])
-                dist[new, x] = merged
-                dist[x, new] = merged
-        active.remove(u)
-        active.remove(v)
-        active.append(new)
+        rows = np.flatnonzero(nn_d == nn_d.min())
+        ends = node[rows], node[nn[rows]]
+        key = np.minimum(*ends) * (2 * n) + np.maximum(*ends)
+        su = int(rows[key.argmin()])
+        sv = int(nn[su])
+        u, v, new = int(node[su]), int(node[sv]), n + step
+        height = dist[su, sv]
+        keep, drop = min(su, sv), max(su, sv)
+        dist[keep] = np.maximum(dist[su], dist[sv])
+        dist[:, keep] = dist[keep]
+        dist[drop] = np.inf
+        dist[:, drop] = np.inf
+        node[keep] = new
+        nn_d[drop] = np.inf
+        nn[drop] = -1  # a dead row is never refreshed
+        # su and sv cache each other, so the merged row is among these
+        refresh(np.flatnonzero((nn == su) | (nn == sv)))
         left, right = (u, v) if min_leaf[u] <= min_leaf[v] else (v, u)
-        merges[step] = (left, right, best_d, sizes[u] + sizes[v])
+        merges[step] = (left, right, height, sizes[u] + sizes[v])
         min_leaf.append(min(min_leaf[u], min_leaf[v]))
         sizes.append(sizes[u] + sizes[v])
     heights = merges[:, 2]
@@ -87,14 +110,18 @@ def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
     return Dendrogram(merges, d.ids)
 
 
+def _check_cut(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+
+
 def cut_tree(dend: Dendrogram, k: int) -> Partition:
     """Partition into k clusters by undoing the last k-1 merges.
 
     Clusters are numbered 1..k in order of their smallest leaf index.
     """
     n = dend.n
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    _check_cut(k, n)
     parent = list(range(2 * n - 1))
 
     def find(x: int) -> int:
@@ -118,31 +145,85 @@ def cut_tree(dend: Dendrogram, k: int) -> Partition:
     return Partition(assignments, num_clusters=len(numbers))
 
 
+def _check_lengths(n_p: int, n_q: int) -> None:
+    if n_p != n_q:
+        raise ValidationError(f"partition lengths differ: {n_p} vs {n_q}")
+    if n_p < 2:
+        raise ValidationError("CER needs at least 2 items")
+
+
+def _pairs_within(counts: np.ndarray) -> int:
+    """Number of unordered pairs inside groups of the given sizes."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _error_rate(same_p: int, same_q: int, both: int, n: int) -> float:
+    """CER from exact pair counts: together in p, together in q, together in both."""
+    return (same_p + same_q - 2 * both) / (n * (n - 1) // 2)
+
+
 def cer(p: Partition, q: Partition) -> float:
     """Clustering error rate: fraction of pairs with disagreeing co-membership.
 
     Zero iff the partitions agree up to relabeling; one minus the Rand
-    index.
+    index. Pair counts come from the nonzero cells of the contingency
+    table of ``p`` against ``q``.
     """
-    if p.n != q.n:
-        raise ValidationError(f"partition lengths differ: {p.n} vs {q.n}")
-    n = p.n
-    if n < 2:
-        raise ValidationError("CER needs at least 2 items")
-    a = p.assignments
-    b = q.assignments
-    same_p = a[:, None] == a[None, :]
-    same_q = b[:, None] == b[None, :]
-    iu = np.triu_indices(n, k=1)
-    disagreements = int(np.count_nonzero(same_p[iu] != same_q[iu]))
-    return disagreements / (n * (n - 1) // 2)
+    _check_lengths(p.n, q.n)
+    a = p.assignments - 1
+    b = q.assignments - 1
+    _, cells = np.unique(a * q.num_clusters + b, return_counts=True)
+    return _error_rate(
+        _pairs_within(np.bincount(a)),
+        _pairs_within(np.bincount(b)),
+        _pairs_within(cells),
+        p.n,
+    )
+
+
+def _merge_error_rates(dend: Dendrogram, truth: Partition) -> list[float]:
+    """CER against ``truth`` after each number of merges, 0..n-1.
+
+    Replays the merges once with per-cluster counts of each true class:
+    merging clusters A and B adds |A||B| pairs that share a cluster, and
+    sum_t A_t B_t of them also share a true class.
+    """
+    n = dend.n
+    _check_lengths(n, truth.n)
+    classes: list[dict | None] = [{c: 1} for c in truth.assignments.tolist()]
+    sizes = [1] * n
+    same_p = both = 0
+    same_q = _pairs_within(np.bincount(truth.assignments))
+    rates = [_error_rate(same_p, same_q, both, n)]
+    for left, right, _, _ in dend.merges.tolist():
+        left, right = int(left), int(right)
+        big, small = classes[left], classes[right]
+        if len(big) < len(small):
+            big, small = small, big
+        for c, count in small.items():
+            both += count * big.get(c, 0)
+            big[c] = big.get(c, 0) + count
+        same_p += sizes[left] * sizes[right]
+        classes[left] = classes[right] = None
+        classes.append(big)
+        sizes.append(sizes[left] + sizes[right])
+        rates.append(_error_rate(same_p, same_q, both, n))
+    return rates
 
 
 def cer_sweep(dend: Dendrogram, truth: Partition, ks=None) -> list[tuple[int, float]]:
-    """CER against a reference partition for each cut size (default 2..n)."""
-    if ks is None:
-        ks = range(2, dend.n + 1)
-    return [(int(k), cer(cut_tree(dend, int(k)), truth)) for k in ks]
+    """CER against a reference partition for each cut size (default 2..n).
+
+    Equals ``cer(cut_tree(dend, k), truth)`` for every k, from one replay
+    of the merges instead of one cut per k.
+    """
+    n = dend.n
+    ks = range(2, n + 1) if ks is None else [int(k) for k in ks]
+    for k in ks:
+        _check_cut(k, n)
+    rates = _merge_error_rates(dend, truth) if ks else []
+    return [(k, rates[n - k]) for k in ks]
 
 
 def _newick_label(name: str) -> str:

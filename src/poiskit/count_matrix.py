@@ -41,6 +41,14 @@ def _check_unique(ids: tuple[str, ...], axis: str) -> None:
             seen.add(name)
 
 
+def first_appearance_index(names) -> dict[str, int]:
+    """Map each distinct name to 1..K in order of first appearance."""
+    index_of: dict[str, int] = {}
+    for name in names:
+        index_of.setdefault(name, len(index_of) + 1)
+    return index_of
+
+
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Immutable n x p matrix of nonnegative counts with axis identifiers.
@@ -287,20 +295,17 @@ def read_labels(path: str | Path, matrix: CountMatrix) -> LabeledDataset:
     """
     pairs = read_two_column_tsv(path)
     by_id: dict[str, str] = {}
-    order: list[str] = []
     for sid, cname in pairs:
         if sid in by_id:
             raise ValidationError(f"sample '{sid}' labeled more than once")
         by_id[sid] = cname
-        if cname not in order:
-            order.append(cname)
-    index_of = {name: k + 1 for k, name in enumerate(order)}
+    index_of = first_appearance_index(by_id.values())
     labels = np.empty(matrix.n, dtype=np.int64)
     for i, sid in enumerate(matrix.sample_ids):
         if sid not in by_id:
             raise ValidationError(f"no label for sample '{sid}'")
         labels[i] = index_of[by_id[sid]]
-    return LabeledDataset(matrix, labels, K=len(order), class_names=tuple(order))
+    return LabeledDataset(matrix, labels, K=len(index_of), class_names=tuple(index_of))
 
 
 def write_labels(path: str | Path, dataset: LabeledDataset) -> None:
@@ -316,13 +321,9 @@ def read_partition(path: str | Path) -> tuple[list[str], Partition]:
     pairs = read_two_column_tsv(path)
     ids = [sid for sid, _ in pairs]
     _check_unique(tuple(ids), "sample")
-    order: list[str] = []
-    for _, cname in pairs:
-        if cname not in order:
-            order.append(cname)
-    index_of = {name: k + 1 for k, name in enumerate(order)}
+    index_of = first_appearance_index(cname for _, cname in pairs)
     assignments = np.array([index_of[cname] for _, cname in pairs], dtype=np.int64)
-    return ids, Partition(assignments, num_clusters=len(order))
+    return ids, Partition(assignments, num_clusters=len(index_of))
 
 
 def write_partition(path: str | Path, ids, partition: Partition) -> None:

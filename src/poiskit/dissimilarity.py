@@ -64,7 +64,7 @@ class DissimilarityMatrix:
             raise ValidationError("ids must be unique")
         if condensed.size and (not np.all(np.isfinite(condensed)) or condensed.min() < 0):
             raise ValidationError("dissimilarities must be finite and nonnegative")
-        condensed = condensed.copy()
+        condensed = condensed + 0.0  # a copy, with any -0.0 turned into 0.0
         condensed.flags.writeable = False
         object.__setattr__(self, "condensed", condensed)
         object.__setattr__(self, "ids", tuple(str(s) for s in self.ids))
@@ -87,9 +87,9 @@ class DissimilarityMatrix:
         k = 0
         for i in range(n - 1):
             m = n - 1 - i
-            out[i, i + 1 :] = self.condensed[k : k + m]
+            out[i, i + 1 :] = out[i + 1 :, i] = self.condensed[k : k + m]
             k += m
-        return out + out.T
+        return out
 
     @staticmethod
     def from_full(values: np.ndarray, ids, measure: str, method: str) -> "DissimilarityMatrix":
@@ -127,13 +127,18 @@ def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
     return np.where(m % 2 == 1, lo, (lo + hi) / 2.0)
 
 
-def _pair_size_factors(x: np.ndarray, Y: np.ndarray, method: str):
-    """Pair-restricted size factors of ``x`` and of each row of ``Y``."""
+def _pair_size_factors(x: np.ndarray, Y: np.ndarray, method: str, quantiles):
+    """Pair-restricted size factors of ``x`` and of each row of ``Y``.
+
+    For the quantile method ``quantiles`` holds the 75th percentiles of
+    ``x`` and of the rows of ``Y``, which the caller takes once per row;
+    the other methods ignore it.
+    """
     if method == "total-count":
         f1, f2 = x.sum(), Y.sum(axis=1)
         bad, message = (f1 <= 0) | (f2 <= 0), "zero total count in pair"
     elif method == "quantile":
-        f1, f2 = np.percentile(x, 75), np.percentile(Y, 75, axis=1)
+        f1, f2 = quantiles
         bad, message = (f1 <= 0) | (f2 <= 0), "zero 75th percentile in pair"
     else:
         # ratios to a positive geometric mean are positive, so are their medians
@@ -161,9 +166,11 @@ def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_block(x: np.ndarray, Y: np.ndarray, method: str, beta: float) -> np.ndarray:
+def _pair_block(
+    x: np.ndarray, Y: np.ndarray, method: str, beta: float, quantiles
+) -> np.ndarray:
     """Dissimilarities between ``x`` and each row of ``Y``, on validated inputs."""
-    s1, s2 = _pair_size_factors(x, Y, method)
+    s1, s2 = _pair_size_factors(x, Y, method, quantiles)
     g = x + Y
     n1 = s1[:, None] * g
     n2 = s2[:, None] * g
@@ -198,7 +205,12 @@ def poisson_pair_dissimilarity(
         raise ValidationError("count vectors must be finite and nonnegative")
     if beta < 0:
         raise ValidationError("beta must be nonnegative")
-    return float(_pair_block(x1, x2[None, :], canonical_method(method), beta)[0])
+    method = canonical_method(method)
+    Y = x2[None, :]
+    quantiles = (
+        (np.percentile(x1, 75), np.percentile(Y, 75, axis=1)) if method == "quantile" else None
+    )
+    return float(_pair_block(x1, Y, method, beta, quantiles)[0])
 
 
 def multinomial_lrt(x_i, x_iprime) -> float:
@@ -232,6 +244,7 @@ def multinomial_lrt(x_i, x_iprime) -> float:
 
 
 def _pairwise(values: np.ndarray, ids, block_fn, threads: int | None) -> np.ndarray:
+    """Condensed matrix of ``block_fn(i, js)``: row i against the rows in slice js."""
     n, p = values.shape
     condensed = np.empty(n * (n - 1) // 2)
     tile = max(1, _TILE_ELEMENTS // p)
@@ -242,7 +255,7 @@ def _pairwise(values: np.ndarray, ids, block_fn, threads: int | None) -> np.ndar
             for lo in range(i + 1, n, tile):
                 hi = min(lo + tile, n)
                 try:
-                    condensed[offset + lo : offset + hi] = block_fn(values[i], values[lo:hi])
+                    condensed[offset + lo : offset + hi] = block_fn(i, slice(lo, hi))
                 except _RowError as exc:
                     j = lo + exc.row
                     raise ValidationError(f"pair ('{ids[i]}', '{ids[j]}'): {exc}") from exc
@@ -279,10 +292,15 @@ def poisson_dissimilarity_matrix(
     method = canonical_method(method)
     if transform:
         matrix = find_alpha(matrix).matrix
+    values = matrix.values
+    # one 75th percentile per row, not one per row and pair
+    q = np.percentile(values, 75, axis=1) if method == "quantile" else None
     condensed = _pairwise(
-        matrix.values,
+        values,
         matrix.sample_ids,
-        lambda x, Y: _pair_block(x, Y, method, beta),
+        lambda i, js: _pair_block(
+            values[i], values[js], method, beta, None if q is None else (q[i], q[js])
+        ),
         threads,
     )
     return DissimilarityMatrix(condensed, matrix.sample_ids, "poisson", method)
@@ -300,7 +318,7 @@ def sq_euclidean_dissimilarity_matrix(
     condensed = _pairwise(
         scaled,
         matrix.sample_ids,
-        lambda x, Y: ((x - Y) ** 2).sum(axis=1),
+        lambda i, js: ((scaled[i] - scaled[js]) ** 2).sum(axis=1),
         threads=None,
     )
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)

@@ -138,3 +138,13 @@ def naive_complete_linkage(dist):
         left, right = (u, v) if min_leaf[u] <= min_leaf[v] else (v, u)
         merges.append((left, right, float(duv), len(members[new])))
     return merges
+
+
+def pairwise_cer(a, b):
+    """CER by visiting every pair: the fraction whose co-membership differs."""
+    n = len(a)
+    disagreements = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            disagreements += (a[i] == a[j]) != (b[i] == b[j])
+    return disagreements / (n * (n - 1) // 2)

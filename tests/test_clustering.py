@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_complete_linkage
+from oracles import naive_complete_linkage, pairwise_cer
 
 from poiskit.clustering import (
     Dendrogram,
@@ -24,6 +24,11 @@ def dmatrix(full, ids=None):
     full = np.asarray(full, dtype=float)
     ids = ids or tuple(chr(ord("a") + i) for i in range(full.shape[0]))
     return DissimilarityMatrix.from_full(full, ids, "poisson", "total-count")
+
+
+def random_partition(rng, n, k):
+    _, dense = np.unique(rng.integers(0, k, n), return_inverse=True)
+    return Partition(dense + 1, dense.max() + 1)
 
 
 THREE_POINT = [[0, 1, 5], [1, 0, 5], [5, 5, 0]]
@@ -54,6 +59,26 @@ def test_matches_naive_oracle_on_random_instance():
     full = np.triu(sq, 1)
     full = full + full.T
     dend = complete_linkage(dmatrix(full))
+    reference = naive_complete_linkage(full)
+    assert dend.merges.tolist() == [list(rec) for rec in reference]
+
+
+def random_distances(rng, n, regime):
+    if regime == "continuous":
+        sq = rng.random((n, n)) * 10
+    elif regime == "integer":  # distances in {1, 2, 3}: heavy ties
+        sq = rng.integers(1, 4, (n, n)).astype(float)
+    else:  # all equal
+        sq = np.full((n, n), 2.0)
+    sq = np.triu(sq, 1)
+    return sq + sq.T
+
+
+@pytest.mark.parametrize("regime", ("continuous", "integer", "all-equal"))
+@pytest.mark.parametrize("n", (2, 3, 17, 60))
+def test_matches_naive_oracle_across_tie_regimes(n, regime):
+    full = random_distances(np.random.default_rng(100 + n), n, regime)
+    dend = complete_linkage(dmatrix(full, tuple(f"x{i}" for i in range(n))))
     reference = naive_complete_linkage(full)
     assert dend.merges.tolist() == [list(rec) for rec in reference]
 
@@ -109,13 +134,7 @@ def test_cer_hand_cases():
 def test_cer_properties(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
-
-    def random_partition():
-        raw = rng.integers(0, 3, n)
-        _, dense = np.unique(raw, return_inverse=True)
-        return Partition(dense + 1, dense.max() + 1)
-
-    p, q = random_partition(), random_partition()
+    p, q = random_partition(rng, n, 3), random_partition(rng, n, 3)
     value = cer(p, q)
     assert 0.0 <= value <= 1.0
     assert cer(q, p) == value
@@ -162,6 +181,40 @@ def test_cer_sweep_covers_all_cuts():
     assert [k for k, _ in sweep] == [2, 3, 4, 5, 6]
     assert all(0.0 <= v <= 1.0 for _, v in sweep)
 
+
+
+@pytest.mark.parametrize("regime", ("integer", "all-equal"))
+@pytest.mark.parametrize("seed", range(6))
+def test_cer_sweep_equals_cut_by_cut_cer(seed, regime):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    dend = complete_linkage(
+        dmatrix(random_distances(rng, n, regime), tuple(f"x{i}" for i in range(n)))
+    )
+    truth = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    expected = [(k, cer(cut_tree(dend, k), truth)) for k in range(2, n + 1)]
+    assert cer_sweep(dend, truth) == expected
+    assert cer_sweep(dend, truth, [n, 1, 2]) == [
+        (k, cer(cut_tree(dend, k), truth)) for k in (n, 1, 2)
+    ]
+
+
+def test_cer_sweep_rejects_bad_cuts_and_lengths():
+    dend = complete_linkage(dmatrix(THREE_POINT))
+    with pytest.raises(ValidationError, match="k must lie in 1..3, got 4"):
+        cer_sweep(dend, Partition([1, 1, 2], 2), [2, 4])
+    with pytest.raises(ValidationError, match="partition lengths differ: 3 vs 2"):
+        cer_sweep(dend, Partition([1, 2], 2))
+
+
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_cer_matches_pairwise_definition(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    p = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    q = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    assert cer(p, q) == pairwise_cer(p.assignments.tolist(), q.assignments.tolist())
 
 # --- Newick ---
 

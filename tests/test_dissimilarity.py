@@ -143,18 +143,22 @@ MULTI_TILE = (12, 3000)
 @pytest.mark.parametrize("method", METHODS)
 def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
     rng = np.random.default_rng(50)
-    shape = MULTI_TILE if axis == "samples" else MULTI_TILE[::-1]
-    m = matrix(rng.integers(0, 60, shape).astype(float))
-    if axis == "samples":
-        dm, rows = poisson_dissimilarity_matrix(m, method, beta, transform=False), m.values
-    else:
-        dm = feature_dissimilarity_matrix(m, "poisson", method, beta, transform=False)
-        rows = m.values.T
-    for i in range(dm.n):
-        for j in range(i + 1, dm.n):
-            ref = scalar_pair_dissimilarity(rows[i], rows[j], method, beta)
-            assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
-            assert dm.get(i, j) == poisson_pair_dissimilarity(rows[i], rows[j], method, beta)
+    n = MULTI_TILE[0]
+    # scaled rows, so that each row has its own 75th percentile
+    rows = rng.integers(0, 60, MULTI_TILE) * (rng.random((n, 1)) * 3)
+    m = matrix(rows if axis == "samples" else rows.T)
+    for threads in (1, 2):
+        if axis == "samples":
+            dm = poisson_dissimilarity_matrix(m, method, beta, transform=False, threads=threads)
+        else:
+            dm = feature_dissimilarity_matrix(
+                m, "poisson", method, beta, transform=False, threads=threads
+            )
+        for i in range(n):
+            for j in range(i + 1, n):
+                ref = scalar_pair_dissimilarity(rows[i], rows[j], method, beta)
+                assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
+                assert dm.get(i, j) == poisson_pair_dissimilarity(rows[i], rows[j], method, beta)
 
 
 def test_matrix_identical_rows_entry_zero():
@@ -207,6 +211,12 @@ def test_matrix_error_names_offending_pair():
             poisson_dissimilarity_matrix(
                 matrix(values), "median-ratio", transform=False, threads=threads
             )
+    # only s11 has a zero 75th percentile; it is in row 0's third tile
+    values = np.ones(MULTI_TILE)
+    values[11, 500:] = 0.0
+    for threads in (1, 2):
+        with pytest.raises(ValidationError, match=r"^pair \('s0', 's11'\): zero 75th percentile"):
+            poisson_dissimilarity_matrix(matrix(values), "quantile", transform=False, threads=threads)
 
 
 # --- squared Euclidean baseline ---
