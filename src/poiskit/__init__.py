@@ -5,7 +5,6 @@ from .count_matrix import (
     CountMatrix,
     LabeledDataset,
     Partition,
-    column_totals,
     read_count_matrix,
     read_labels,
     write_count_matrix,

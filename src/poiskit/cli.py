@@ -208,15 +208,7 @@ def cmd_cv(args, out_dir: Path):
         beta=args.beta,
     )
     _write_json(out_dir / "cv.json", result.to_json())
-    model = fit(
-        data,
-        method=args.size_factors,
-        rho=result.selected_rho,
-        beta=args.beta,
-        prior_mode=args.priors,
-        transform=args.transform == "on",
-    )
-    write_model(model, out_dir / "model.json")
+    write_model(result.model, out_dir / "model.json")
     return [Path(args.counts), Path(args.labels)], {
         "selected_rho": result.selected_rho,
         "outputs": ["cv.json", "model.json"],

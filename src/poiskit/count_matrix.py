@@ -201,6 +201,30 @@ def _split_line(line: str) -> list[str]:
     return line.rstrip("\n").rstrip("\r").split("\t")
 
 
+def parse_rows(lines: list[str], width: int, non_numeric) -> tuple[list[str], np.ndarray]:
+    """Row ids and values of the data lines ``lines[1:]`` of an id-header TSV.
+
+    Blank lines are skipped. Every other line must hold an id and ``width``
+    numbers, which ``float`` must accept; the values fill one preallocated
+    float64 array. A bad line raises :class:`ParseError` with its line
+    number: a numeric cell ``float`` rejects gets the message
+    ``non_numeric(row_id, exc)``.
+    """
+    data = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
+    values = np.empty((len(data), width))
+    row_ids: list[str] = []
+    for r, (lineno, raw) in enumerate(data):
+        cells = _split_line(raw)
+        if len(cells) != width + 1:
+            raise ParseError(f"expected {width + 1} columns, got {len(cells)}", line=lineno)
+        row_ids.append(cells[0])
+        try:
+            values[r] = cells[1:]
+        except ValueError as exc:
+            raise ParseError(non_numeric(cells[0], exc), line=lineno) from exc
+    return row_ids, values
+
+
 def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMatrix:
     """Read a count TSV into canonical samples-as-rows form.
 
@@ -225,24 +249,11 @@ def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMa
     col_ids = header[1:]
     if not col_ids:
         raise ParseError("header defines no data columns", line=1)
-    row_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue  # tolerate a trailing blank line
-        cells = _split_line(raw)
-        if len(cells) != len(col_ids) + 1:
-            raise ParseError(
-                f"expected {len(col_ids) + 1} columns, got {len(cells)}", line=lineno
-            )
-        row_ids.append(cells[0])
-        try:
-            rows.append(np.array([float(c) for c in cells[1:]], dtype=np.float64))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell in row '{cells[0]}': {exc}", line=lineno)
-    if not rows:
+    row_ids, values = parse_rows(
+        lines, len(col_ids), lambda row_id, exc: f"non-numeric cell in row '{row_id}': {exc}"
+    )
+    if not row_ids:
         raise ParseError("file contains no data rows", line=2)
-    values = np.vstack(rows)
     if orientation == "features":
         return CountMatrix(values.T, col_ids, row_ids)
     return CountMatrix(values, row_ids, col_ids)
@@ -256,11 +267,6 @@ def write_count_matrix(matrix: CountMatrix, path: str | Path) -> None:
         for i, sid in enumerate(matrix.sample_ids):
             cells = "\t".join(format_number(v) for v in matrix.values[i])
             handle.write(f"{sid}\t{cells}\n")
-
-
-def column_totals(matrix: CountMatrix) -> np.ndarray:
-    """Per-feature totals over all samples (the feature baseline estimate)."""
-    return matrix.col_sums.copy()
 
 
 def read_two_column_tsv(path: str | Path) -> list[tuple[str, str]]:

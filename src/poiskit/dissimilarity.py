@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_number
+from .count_matrix import CountMatrix, format_number, parse_rows
 from .errors import ParseError, ValidationError
 from .size_factors import canonical_method, estimate_size_factors
 from .transform import find_alpha
@@ -370,19 +370,8 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     if header[0] != "id":
         raise ParseError("first header cell must be 'id'", line=1)
     ids = header[1:]
-    rows = []
-    row_ids = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw == "":
-            continue
-        cells = raw.split("\t")
-        if len(cells) != len(ids) + 1:
-            raise ParseError(f"expected {len(ids) + 1} columns, got {len(cells)}", line=lineno)
-        row_ids.append(cells[0])
-        try:
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno)
+    row_ids, values = parse_rows(lines, len(ids), lambda row_id, exc: str(exc))
+    del lines  # the text of an n x n file: free it before from_full copies the values
     if row_ids != ids:
         raise ValidationError("row ids do not match column ids")
     measure, method = "unknown", "unknown"
@@ -397,4 +386,4 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
             raise ValidationError(f"{sidecar}: sidecar must be a JSON object")
         measure = meta.get("measure", measure)
         method = meta.get("method", method)
-    return DissimilarityMatrix.from_full(np.asarray(rows), ids, measure, method)
+    return DissimilarityMatrix.from_full(values, ids, measure, method)

@@ -24,10 +24,10 @@ from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
     canonical_method,
-    estimate_size_factors,
     estimate_test_size_factor,
+    size_factors_of,
 )
-from .transform import apply_alpha, find_alpha
+from .transform import calibrate
 
 PRIOR_MODES = ("uniform", "empirical")
 
@@ -45,10 +45,25 @@ def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     (subtracting a zero threshold is exact) rather than the algebraically
     equal 1 + soft_threshold(a/b - 1, 0), which reassociates the arithmetic.
     """
+    return _ratio_shrinker(a, b)(rho)
+
+
+def _ratio_shrinker(a: np.ndarray, b: np.ndarray):
+    """``rho -> shrunken_ratios(a, b, rho)``, with every rho-free term computed once."""
     ratio = a / b
     dev = ratio - 1.0
-    thr = rho / np.sqrt(b)
-    return np.where(dev > thr, ratio - thr, np.where(-dev > thr, ratio + thr, 1.0))
+    neg_dev = -dev
+    sqrt_b = np.sqrt(b)
+
+    def at(rho: float) -> np.ndarray:
+        thr = rho / sqrt_b
+        return np.where(dev > thr, ratio - thr, np.where(neg_dev > thr, ratio + thr, 1.0))
+
+    return at
+
+
+def _nonzero_features(d_hat: np.ndarray) -> int:
+    return int(np.any(d_hat != 1.0, axis=0).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +135,7 @@ class PldaModel:
 
     def nonzero_features(self) -> int:
         """Number of features whose ratios are not fully shrunken to 1."""
-        return int(np.any(self.d_hat != 1.0, axis=0).sum())
+        return _nonzero_features(self.d_hat)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -188,7 +203,9 @@ def _fit_stats(
     beta: float,
     prior_mode: str,
     transform: bool,
+    rows: np.ndarray | None = None,
 ) -> FitStats:
+    """Fit state of the samples ``rows`` of ``data`` (all when None), on plain arrays."""
     if data.K < 2:
         raise ValidationError("classification needs at least 2 classes")
     if beta <= 0:
@@ -197,21 +214,25 @@ def _fit_stats(
         raise ValidationError(f"prior_mode must be one of {PRIOR_MODES}")
     method = canonical_method(method)
 
+    values, labels, sample_ids = data.matrix.values, data.labels, data.matrix.sample_ids
+    if rows is not None:
+        values, labels = values[rows], labels[rows]
+        sample_ids = [sample_ids[i] for i in rows]
     alpha = 1.0
-    matrix = data.matrix
     if transform:
-        result = find_alpha(matrix)
-        alpha, matrix = result.alpha, result.matrix
+        alpha = calibrate(values)[0]
+        if alpha != 1.0:
+            values = values**alpha
 
-    factors = estimate_size_factors(matrix, method)
-    g_hat = matrix.col_sums
-    K, p = data.K, matrix.p
+    factors = size_factors_of(values, sample_ids, method)
+    g_hat = values.sum(axis=0)
+    K, p = data.K, values.shape[1]
     x_class = np.empty((K, p))
     s_class = np.empty(K)
     counts = np.empty(K)
     for k in range(1, K + 1):
-        idx = data.class_indices(k)
-        x_class[k - 1] = matrix.values[idx].sum(axis=0)
+        idx = np.flatnonzero(labels == k)
+        x_class[k - 1] = values[idx].sum(axis=0)
         s_class[k - 1] = factors.values[idx].sum()
         counts[k - 1] = idx.size
     n_hat_class_sums = s_class[:, None] * g_hat[None, :]
@@ -230,7 +251,7 @@ def _fit_stats(
         n_hat_class_sums=n_hat_class_sums,
         priors=priors,
         class_names=data.class_names,
-        feature_ids=matrix.feature_ids,
+        feature_ids=data.matrix.feature_ids,
         beta=beta,
     )
 
@@ -270,9 +291,9 @@ def fit(
     return _model_from_stats(_fit_stats(data, method, beta, prior_mode, transform), rho)
 
 
-def _score_rows(model: PldaModel, rows: np.ndarray, s_stars: np.ndarray) -> np.ndarray:
+def _score_rows(rows, s_stars, log_d, offsets, log_priors) -> np.ndarray:
     """Class scores for already-transformed rows; one row per observation."""
-    return rows @ model._log_d.T - np.outer(s_stars, model._offsets) + model._log_priors
+    return rows @ log_d.T - np.outer(s_stars, offsets) + log_priors
 
 
 def predict(model: PldaModel, x_star, s_star: float | None = None) -> Prediction:
@@ -296,7 +317,9 @@ def predict(model: PldaModel, x_star, s_star: float | None = None) -> Prediction
         s_star = estimate_test_size_factor(model.size_factors, x)
     if s_star <= 0:
         raise ValidationError("s_star must be positive")
-    scores = _score_rows(model, x[None, :], np.array([float(s_star)]))[0]
+    scores = _score_rows(
+        x[None, :], np.array([float(s_star)]), model._log_d, model._offsets, model._log_priors
+    )[0]
     shifted = scores - scores.max()
     weights = np.exp(shifted)
     return Prediction(
@@ -333,7 +356,10 @@ def default_rho_grid(
     size: int = 30,
 ) -> np.ndarray:
     """0 plus a geometric sweep up to the full-shrinkage bound of the data."""
-    stats = _fit_stats(data, method, beta, "uniform", transform)
+    return _rho_grid(_fit_stats(data, method, beta, "uniform", transform), size)
+
+
+def _rho_grid(stats: FitStats, size: int = 30) -> np.ndarray:
     bound = shrinkage_upper_bound(stats)
     if bound <= 0:
         return np.array([0.0])
@@ -379,7 +405,9 @@ class CrossValidationResult:
     ``errors`` counts misclassifications pooled over folds; ``error_rate``
     divides by n. ``nonzero_features`` is the mean over folds of the number
     of features active in the decision rule. ``selected_rho`` is the
-    smallest grid value attaining the minimum error.
+    smallest grid value attaining the minimum error, and ``model`` is the
+    classifier fitted on all of the data at that value, equal to
+    ``fit(data, rho=selected_rho)`` with the same settings.
     """
 
     rho_grid: np.ndarray
@@ -389,6 +417,7 @@ class CrossValidationResult:
     selected_rho: float
     folds: int
     seed: int
+    model: PldaModel
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -416,63 +445,68 @@ def cross_validate(
 
     Every fold re-estimates the transform exponent and all parameters on
     its training portion alone, so no information leaks from held-out
-    samples into the fit.
+    samples into the fit. The fit on all of the data gives the default
+    grid and the returned model.
     """
-    if rho_grid is None:
-        grid = default_rho_grid(data, method, beta, transform)
-    else:
+    if rho_grid is not None:
         grid = np.asarray(sorted(float(r) for r in rho_grid), dtype=np.float64)
         if grid.size == 0:
             raise ValidationError("rho grid must be nonempty")
         if grid[0] < 0:
             raise ValidationError("rho values must be nonnegative")
+    stats = _fit_stats(data, method, beta, prior_mode, transform)
+    if rho_grid is None:
+        grid = _rho_grid(stats)
     fold_of, effective = stratified_folds(data.labels, folds, seed)
 
     errors = np.zeros(grid.size, dtype=np.int64)
     nonzero = np.zeros(grid.size, dtype=np.float64)
     for f in range(effective):
-        train_idx = np.flatnonzero(fold_of != f)
         test_idx = np.flatnonzero(fold_of == f)
-        train = LabeledDataset(
-            CountMatrix(
-                data.matrix.values[train_idx],
-                tuple(data.matrix.sample_ids[i] for i in train_idx),
-                data.matrix.feature_ids,
-            ),
-            data.labels[train_idx],
-            data.K,
-            data.class_names,
+        train = _fit_stats(
+            data, method, beta, prior_mode, transform, rows=np.flatnonzero(fold_of != f)
         )
-        stats = _fit_stats(train, method, beta, prior_mode, transform)
         test_raw = data.matrix.values[test_idx]
-        test_rows = test_raw if stats.alpha == 1.0 else test_raw**stats.alpha
+        test_rows = test_raw if train.alpha == 1.0 else test_raw**train.alpha
         truth = data.labels[test_idx]
         s_stars = np.array(
-            [estimate_test_size_factor(stats.size_factors, row) for row in test_rows]
+            [estimate_test_size_factor(train.size_factors, row) for row in test_rows]
         )
+        shrunk = _ratio_shrinker(train.a, train.b)
+        log_priors = np.log(train.priors)
         for r, rho in enumerate(grid):
-            model = _model_from_stats(stats, float(rho))
-            scores = _score_rows(model, test_rows, s_stars)
+            d = shrunk(rho)
+            scores = _score_rows(test_rows, s_stars, np.log(d), d @ train.g_hat, log_priors)
             predicted = np.argmax(scores, axis=1) + 1
             errors[r] += int((predicted != truth).sum())
-            nonzero[r] += model.nonzero_features()
+            nonzero[r] += _nonzero_features(d)
     nonzero /= effective
     best = int(np.argmin(errors))
+    selected = float(grid[best])
     return CrossValidationResult(
         rho_grid=grid,
         errors=errors,
         error_rate=errors / data.matrix.n,
         nonzero_features=nonzero,
-        selected_rho=float(grid[best]),
+        selected_rho=selected,
         folds=effective,
         seed=seed,
+        model=_model_from_stats(stats, selected),
     )
 
 
 def write_model(model: PldaModel, path) -> None:
+    """Write ``json.dump(model.to_json())`` and a newline.
+
+    Each field is encoded by ``json.dumps``, which runs the C encoder that
+    ``json.dump`` skips; one string per field keeps the peak memory at the
+    largest field rather than the whole document.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_json(), handle)
-        handle.write("\n")
+        handle.write("{")
+        for i, (key, value) in enumerate(model.to_json().items()):
+            handle.write((", " if i else "") + json.dumps(key) + ": " + json.dumps(value))
+        handle.write("}\n")
 
 
 def read_model(path) -> PldaModel:

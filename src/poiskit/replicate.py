@@ -19,7 +19,7 @@ from .clustering import cer, complete_linkage, cut_tree
 from .count_matrix import Partition
 from .dissimilarity import poisson_dissimilarity_matrix, sq_euclidean_dissimilarity_matrix
 from .errors import ValidationError
-from .plda import cross_validate, fit, predict
+from .plda import cross_validate, predict_matrix
 from .simulate import SimulationConfig, simulate, split_train_test
 
 
@@ -70,14 +70,9 @@ def replicate_classification(
             transform=transform,
             beta=beta,
         )
-        model = fit(
-            train.data, method=method, rho=cv.selected_rho, beta=beta, transform=transform
-        )
-        predictions = [
-            predict(model, row).class_index for row in test.data.matrix.values
-        ]
+        predictions = [p.class_index for p in predict_matrix(cv.model, test.data.matrix)]
         test_errors[r] = int((np.asarray(predictions) != test.data.labels).sum())
-        nonzero[r] = model.nonzero_features()
+        nonzero[r] = cv.model.nonzero_features()
         selected[r] = cv.selected_rho
     return {
         "task": "classification",

@@ -85,22 +85,33 @@ class SizeFactors:
 
 def estimate_total_count(matrix: CountMatrix) -> SizeFactors:
     """Row totals over the grand total."""
-    sums = matrix.row_sums
-    zero = np.flatnonzero(sums <= 0)
-    if zero.size:
-        raise ValidationError(
-            f"sample '{matrix.sample_ids[zero[0]]}' has zero total count"
-        )
-    return SizeFactors(
-        sums / matrix.grand_total,
-        "total-count",
-        {"grand_total": matrix.grand_total, "p": matrix.p},
-    )
+    return _total_count(matrix.values, matrix.sample_ids)
 
 
 def estimate_median_ratio(matrix: CountMatrix) -> SizeFactors:
     """Median ratio to per-feature geometric means, zero-containing features excluded."""
-    values = matrix.values
+    return _median_ratio(matrix.values, matrix.sample_ids)
+
+
+def estimate_quantile(matrix: CountMatrix) -> SizeFactors:
+    """75th percentile of each sample's counts, normalized."""
+    return _quantile(matrix.values, matrix.sample_ids)
+
+
+def _total_count(values: np.ndarray, sample_ids) -> SizeFactors:
+    sums = values.sum(axis=1)
+    zero = np.flatnonzero(sums <= 0)
+    if zero.size:
+        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero total count")
+    grand_total = float(values.sum())
+    return SizeFactors(
+        sums / grand_total,
+        "total-count",
+        {"grand_total": grand_total, "p": values.shape[1]},
+    )
+
+
+def _median_ratio(values: np.ndarray, sample_ids) -> SizeFactors:
     usable = np.all(values > 0, axis=0)
     if not usable.any():
         raise ValidationError(
@@ -110,14 +121,12 @@ def estimate_median_ratio(matrix: CountMatrix) -> SizeFactors:
     # geometric means in log space to avoid overflow at large p
     log_gm = np.mean(np.log(values[:, usable]), axis=0)
     gm = np.exp(log_gm)
-    geometric_means = np.zeros(matrix.p)
+    geometric_means = np.zeros(values.shape[1])
     geometric_means[usable] = gm
     m = np.median(values[:, usable] / gm, axis=1)
     zero = np.flatnonzero(m <= 0)
     if zero.size:
-        raise ValidationError(
-            f"sample '{matrix.sample_ids[zero[0]]}' has zero median ratio"
-        )
+        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero median ratio")
     m_sum = float(m.sum())
     return SizeFactors(
         m / m_sum,
@@ -127,33 +136,38 @@ def estimate_median_ratio(matrix: CountMatrix) -> SizeFactors:
             "usable": usable,
             "m": m,
             "m_sum": m_sum,
-            "p": matrix.p,
+            "p": values.shape[1],
         },
     )
 
 
-def estimate_quantile(matrix: CountMatrix) -> SizeFactors:
-    """75th percentile of each sample's counts, normalized."""
-    q = np.percentile(matrix.values, 75, axis=1)
+def _quantile(values: np.ndarray, sample_ids) -> SizeFactors:
+    q = np.percentile(values, 75, axis=1)
     zero = np.flatnonzero(q <= 0)
     if zero.size:
-        raise ValidationError(
-            f"sample '{matrix.sample_ids[zero[0]]}' has zero 75th percentile"
-        )
+        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero 75th percentile")
     q_sum = float(q.sum())
-    return SizeFactors(q / q_sum, "quantile", {"q": q, "q_sum": q_sum, "p": matrix.p})
+    return SizeFactors(q / q_sum, "quantile", {"q": q, "q_sum": q_sum, "p": values.shape[1]})
 
 
 _ESTIMATORS = {
-    "total-count": estimate_total_count,
-    "median-ratio": estimate_median_ratio,
-    "quantile": estimate_quantile,
+    "total-count": _total_count,
+    "median-ratio": _median_ratio,
+    "quantile": _quantile,
 }
 
 
 def estimate_size_factors(matrix: CountMatrix, method: str) -> SizeFactors:
     """Dispatch to the named estimator."""
-    return _ESTIMATORS[canonical_method(method)](matrix)
+    return size_factors_of(matrix.values, matrix.sample_ids, method)
+
+
+def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
+    """:func:`estimate_size_factors` on a validated value array.
+
+    ``sample_ids`` name the rows in error messages.
+    """
+    return _ESTIMATORS[canonical_method(method)](values, sample_ids)
 
 
 def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:

@@ -55,12 +55,19 @@ def _positive_submatrix(values: np.ndarray) -> np.ndarray:
     return values[np.ix_(rows, cols)]
 
 
-def _pearson_stat(sub: np.ndarray) -> float:
-    row = sub.sum(axis=1)
-    col = sub.sum(axis=0)
-    fitted = np.outer(row, col) / sub.sum()
-    resid = sub - fitted
-    return float((resid * resid / fitted).sum())
+def _pearson_stat(x: np.ndarray) -> float:
+    """Pearson statistic of ``x`` against its rank-one fit; overwrites ``x``.
+
+    The operations are those of ``(resid * resid / fitted).sum()`` with
+    ``fitted = np.outer(row sums, column sums) / total`` and
+    ``resid = x - fitted``, done in place to save two temporaries.
+    """
+    fitted = np.outer(x.sum(axis=1), x.sum(axis=0))
+    fitted /= x.sum()
+    x -= fitted
+    x *= x
+    x /= fitted
+    return float(x.sum())
 
 
 def gof_statistic(matrix: CountMatrix) -> float:
@@ -90,13 +97,23 @@ def find_alpha(matrix: CountMatrix) -> TransformResult:
     statistic above target, ALPHA_MIN is returned with ``converged=False``
     and a warning; downstream methods still run on the transformed data.
     """
-    sub = _positive_submatrix(matrix.values)
+    alpha, statistic, target, converged = calibrate(matrix.values)
+    return TransformResult(alpha, statistic, target, converged, apply_alpha(matrix, alpha))
+
+
+def calibrate(values: np.ndarray) -> tuple[float, float, float, bool]:
+    """The search of :func:`find_alpha` on a raw value array.
+
+    Returns ``(alpha, statistic, target, converged)``; raising ``values`` to
+    ``alpha`` gives the transformed matrix.
+    """
+    sub = _positive_submatrix(values)
     n_pos, p_pos = sub.shape
     target = float((n_pos - 1) * (p_pos - 1))
 
-    stat_at_one = _pearson_stat(sub)
+    stat_at_one = _pearson_stat(sub.copy())
     if stat_at_one <= target:
-        return TransformResult(1.0, stat_at_one, target, True, matrix)
+        return 1.0, stat_at_one, target, True
 
     grid = np.linspace(ALPHA_MIN, 1.0, GRID_POINTS)
     stats = {1.0: stat_at_one}
@@ -119,17 +136,15 @@ def find_alpha(matrix: CountMatrix) -> TransformResult:
             f"alpha={ALPHA_MIN} (statistic {stat_min:.6g} > target {target:.6g})",
             RuntimeWarning,
         )
-        return TransformResult(
-            ALPHA_MIN, stat_min, target, False, apply_alpha(matrix, ALPHA_MIN)
-        )
+        return ALPHA_MIN, stat_min, target, False
 
     while True:
         mid = 0.5 * (lo + hi)
         stat_mid = stat_at(mid)
         if abs(stat_mid - target) <= STAT_RTOL * target:
-            return TransformResult(mid, stat_mid, target, True, apply_alpha(matrix, mid))
+            return mid, stat_mid, target, True
         if hi - lo < BRACKET_TOL:
-            return TransformResult(mid, stat_mid, target, False, apply_alpha(matrix, mid))
+            return mid, stat_mid, target, False
         if stat_mid > target:
             hi = mid
         else:

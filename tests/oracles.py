@@ -4,12 +4,17 @@ These deliberately share no numerical kernels with the package: scalar
 loops instead of vectorized code, hand-rolled order statistics instead of
 numpy's, and direct likelihood evaluation instead of the fitted-model
 score. Disagreement between an oracle and the production path fails the
-build.
+build. The one exception is ``per_rho_cross_validate``, a differential
+reference built from the package's own fit and model code.
 """
 
 import math
 
 import numpy as np
+
+from poiskit.count_matrix import CountMatrix, LabeledDataset
+from poiskit.plda import PldaModel, _fit_stats, default_rho_grid, stratified_folds
+from poiskit.size_factors import estimate_test_size_factor
 
 
 def scalar_percentile75(values):
@@ -148,3 +153,66 @@ def pairwise_cer(a, b):
         for j in range(i + 1, n):
             disagreements += (a[i] == a[j]) != (b[i] == b[j])
     return disagreements / (n * (n - 1) // 2)
+
+
+def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, transform, beta):
+    """Cross-validation as one validated fold dataset and one ``PldaModel``
+    per fold and rho value, scored in one batch per model.
+
+    It pins the array-level fold loop of ``cross_validate`` bit for bit to
+    this container-level loop. Returns ``(rho_grid, errors,
+    nonzero_features, selected_rho, folds)``.
+    """
+    if rho_grid is None:
+        grid = default_rho_grid(data, method, beta, transform)
+    else:
+        grid = np.asarray(sorted(float(r) for r in rho_grid), dtype=np.float64)
+    fold_of, effective = stratified_folds(data.labels, folds, seed)
+    errors = np.zeros(grid.size, dtype=np.int64)
+    nonzero = np.zeros(grid.size, dtype=np.float64)
+    for f in range(effective):
+        train_idx = np.flatnonzero(fold_of != f)
+        test_idx = np.flatnonzero(fold_of == f)
+        train = LabeledDataset(
+            CountMatrix(
+                data.matrix.values[train_idx],
+                tuple(data.matrix.sample_ids[i] for i in train_idx),
+                data.matrix.feature_ids,
+            ),
+            data.labels[train_idx],
+            data.K,
+            data.class_names,
+        )
+        stats = _fit_stats(train, method, beta, prior_mode, transform)
+        test_raw = data.matrix.values[test_idx]
+        test_rows = test_raw if stats.alpha == 1.0 else test_raw**stats.alpha
+        truth = data.labels[test_idx]
+        s_stars = np.array(
+            [estimate_test_size_factor(stats.size_factors, row) for row in test_rows]
+        )
+        for r, rho in enumerate(grid):
+            ratio = stats.a / stats.b
+            dev = ratio - 1.0
+            thr = float(rho) / np.sqrt(stats.b)
+            model = PldaModel(
+                g_hat=stats.g_hat,
+                d_hat=np.where(dev > thr, ratio - thr, np.where(-dev > thr, ratio + thr, 1.0)),
+                n_hat_class_sums=stats.n_hat_class_sums,
+                priors=stats.priors,
+                beta=stats.beta,
+                rho=float(rho),
+                size_factors=stats.size_factors,
+                alpha=stats.alpha,
+                class_names=stats.class_names,
+                feature_ids=stats.feature_ids,
+            )
+            scores = (
+                test_rows @ model._log_d.T
+                - np.outer(s_stars, model._offsets)
+                + model._log_priors
+            )
+            predicted = np.argmax(scores, axis=1) + 1
+            errors[r] += int((predicted != truth).sum())
+            nonzero[r] += int(np.any(model.d_hat != 1.0, axis=0).sum())
+    nonzero /= effective
+    return grid, errors, nonzero, float(grid[int(np.argmin(errors))]), effective

@@ -177,6 +177,16 @@ def test_cv_writes_selection(sim_dir, tmp_path):
     assert (cv_dir / "model.json").exists()
 
 
+@pytest.mark.parametrize("options", [[], ["--size-factors", "quantile", "--priors", "empirical"]])
+def test_cv_model_equals_train_at_selected_rho(sim_dir, tmp_path, options):
+    inputs = ["--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv"]
+    cv_dir, train_dir = tmp_path / "cv", tmp_path / "train"
+    assert run("cv", *inputs, *options, "--folds", 4, "--seed", 3, "--out-dir", cv_dir) == 0
+    selected = json.loads((cv_dir / "cv.json").read_text())["selected_rho"]
+    assert run("train", *inputs, *options, "--rho", repr(selected), "--out-dir", train_dir) == 0
+    assert (cv_dir / "model.json").read_bytes() == (train_dir / "model.json").read_bytes()
+
+
 def test_transform_reports_json(sim_dir, tmp_path, capsys):
     out = tmp_path / "t"
     assert run("transform", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 0

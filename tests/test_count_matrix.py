@@ -9,7 +9,6 @@ from poiskit.count_matrix import (
     CountMatrix,
     LabeledDataset,
     Partition,
-    column_totals,
     read_count_matrix,
     read_labels,
     read_partition,
@@ -65,6 +64,13 @@ def test_non_numeric_reports_line(tmp_path):
     path = write(tmp_path, "id\tf1\ns1\tone\n")
     with pytest.raises(ParseError, match="line 2"):
         read_count_matrix(path)
+    # a blank line still counts, and the message is float()'s
+    path = write(tmp_path, "id\tf1\tf2\ns1\t1\t2\n\ns2\t3\t0x10\n")
+    with pytest.raises(ParseError) as excinfo:
+        read_count_matrix(path)
+    assert str(excinfo.value) == (
+        "line 4: non-numeric cell in row 's2': could not convert string to float: '0x10'"
+    )
 
 
 def test_bad_header_rejected(tmp_path):
@@ -114,8 +120,8 @@ def test_write_to_unwritable_path_raises(tmp_path):
 
 def test_column_totals():
     m = CountMatrix([[1, 2], [3, 4]], ("a", "b"), ("x", "y"))
-    assert np.array_equal(column_totals(m), [4, 6])
-    assert np.array_equal(column_totals(CountMatrix([[0, 5]], ("a",), ("x", "y"))), [0, 5])
+    assert np.array_equal(m.col_sums, [4, 6])
+    assert np.array_equal(CountMatrix([[0, 5]], ("a",), ("x", "y")).col_sums, [0, 5])
 
 
 def test_transpose_twice_is_identity():

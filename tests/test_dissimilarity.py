@@ -22,7 +22,7 @@ from poiskit.dissimilarity import (
     sq_euclidean_dissimilarity_matrix,
     write_dissimilarity,
 )
-from poiskit.errors import ValidationError
+from poiskit.errors import ParseError, ValidationError
 from poiskit.transform import find_alpha
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -286,6 +286,14 @@ def test_from_full_validation():
         DissimilarityMatrix.from_full(np.array([[0.0, 1.0], [2.0, 0.0]]), ids, "x", "y")
     with pytest.raises(ValidationError, match="diagonal"):
         DissimilarityMatrix.from_full(np.array([[1.0, 2.0], [2.0, 0.0]]), ids, "x", "y")
+
+
+def test_read_rejects_non_numeric_cell_with_line(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("id\ta\tb\n\na\t0\t1\nb\t1\tzero\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        read_dissimilarity(path)
+    assert str(excinfo.value) == "line 4: could not convert string to float: 'zero'"
 
 
 def test_tsv_round_trip_with_sidecar(tmp_path):

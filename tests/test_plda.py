@@ -1,14 +1,18 @@
 """Classifier fitting, shrinkage, prediction, and cross-validation."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_plda_scores
+from oracles import per_rho_cross_validate, scalar_plda_scores
 
 from poiskit.count_matrix import CountMatrix, LabeledDataset
 from poiskit.errors import ValidationError
+from poiskit.simulate import SimulationConfig, simulate
 from poiskit.plda import (
     PldaModel,
     cross_validate,
@@ -228,6 +232,19 @@ def test_shrunken_ratios_zero_rho_is_exact_division():
     assert np.array_equal(shrunken_ratios(a, b, 0.0), a / b)
 
 
+def test_shrunken_ratios_match_three_branch_formula():
+    rng = np.random.default_rng(11)
+    a = rng.random((3, 200)) * 20 + 0.1
+    b = rng.random((3, 200)) * 20 + 0.1
+    ratio = a / b
+    for rho in (0.0, 1e-3, 0.1, 0.7, 3.0, 50.0):
+        thr = rho / np.sqrt(b)
+        expected = np.where(
+            ratio - 1.0 > thr, ratio - thr, np.where(1.0 - ratio > thr, ratio + thr, 1.0)
+        )
+        assert np.array_equal(shrunken_ratios(a, b, rho), expected)
+
+
 # --- cross-validation ---
 
 def test_cv_rho_zero_keeps_all_features():
@@ -275,6 +292,47 @@ def test_default_rho_grid_spans_to_full_shrinkage():
     assert model.nonzero_features() == 0
 
 
+def overdispersed_dataset():
+    """Classes of 5, 5 and 3 samples whose calibration exponent is below 1."""
+    data = simulate(SimulationConfig(n=15, p=120, K=3, phi=0.2, sigma=0.15, seed=2)).data
+    keep = np.flatnonzero((data.labels != 3) | (np.cumsum(data.labels == 3) <= 3))
+    m = data.matrix
+    return LabeledDataset(
+        CountMatrix(m.values[keep], tuple(m.sample_ids[i] for i in keep), m.feature_ids),
+        data.labels[keep],
+        data.K,
+        data.class_names,
+    )
+
+
+@pytest.mark.parametrize("grid", [None, [4.0, 0.0, 0.3, 20.0, 1.0, 0.05]])
+@pytest.mark.parametrize("prior_mode", ["uniform", "empirical"])
+@pytest.mark.parametrize("transform", [True, False])
+@pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
+def test_cv_matches_per_rho_model_oracle(method, transform, prior_mode, grid):
+    data = overdispersed_dataset()
+    options = dict(method=method, prior_mode=prior_mode, transform=transform, beta=1.0)
+    result = cross_validate(data, rho_grid=grid, folds=3, seed=7, **options)
+    rho_grid, errors, nonzero, selected, folds = per_rho_cross_validate(
+        data, method, grid, 3, 7, prior_mode, transform, 1.0
+    )
+    assert np.array_equal(result.rho_grid, rho_grid)
+    assert np.array_equal(result.errors, errors)
+    assert np.array_equal(result.nonzero_features, nonzero)
+    assert result.selected_rho == selected
+    assert result.folds == folds
+    assert len(set(errors.tolist())) > 1  # the grid changes the decisions
+
+    refit = fit(data, rho=result.selected_rho, **options)
+    model = result.model
+    for name in ("g_hat", "d_hat", "n_hat_class_sums", "priors"):
+        assert np.array_equal(getattr(model, name), getattr(refit, name)), name
+    for name in ("beta", "rho", "alpha", "class_names", "feature_ids"):
+        assert getattr(model, name) == getattr(refit, name), name
+    assert model.size_factors.to_json() == refit.size_factors.to_json()
+    assert transform == (model.alpha < 1.0)
+
+
 def test_stratified_folds_reduce_with_warning():
     labels = np.array([1, 1, 1, 2, 2, 2])
     with pytest.warns(RuntimeWarning, match="reducing folds"):
@@ -297,6 +355,12 @@ def test_model_json_round_trip(tmp_path):
     model = fit(data, rho=0.7, transform=True)
     path = tmp_path / "model.json"
     write_model(model, path)
+    bare = injected_model(g=[1.0, 2.0], d=[[2.0, 0.5], [1.0, 1.0]], priors=[0.5, 0.5])
+    for written in (model, bare):
+        write_model(written, tmp_path / "check.json")
+        expected = io.StringIO()
+        json.dump(written.to_json(), expected)
+        assert (tmp_path / "check.json").read_text(encoding="utf-8") == expected.getvalue() + "\n"
     loaded = read_model(path)
     assert np.array_equal(loaded.d_hat, model.d_hat)
     assert np.array_equal(loaded.g_hat, model.g_hat)

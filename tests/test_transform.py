@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poiskit.count_matrix import CountMatrix
 from poiskit.errors import ValidationError
 from poiskit.simulate import SimulationConfig, simulate
-from poiskit.transform import apply_alpha, find_alpha, gof_statistic
+from poiskit.transform import _pearson_stat, apply_alpha, find_alpha, gof_statistic
 
 
 def matrix(rows):
@@ -24,6 +27,20 @@ def test_rank_one_matrix_scores_zero():
 def test_hand_case_identity_matrix():
     # fitted values are all 0.5, so the statistic is 4 * (0.25 / 0.5) = 2
     assert gof_statistic(matrix([[1, 0], [0, 1]])) == pytest.approx(2.0)
+
+
+@given(
+    x=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(0, 1e6))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_in_place_pearson_stat_equals_out_of_place_formula(x):
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero sums give nan or inf
+        fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
+        resid = x - fitted
+        expected = float((resid * resid / fitted).sum())
+        assert repr(_pearson_stat(x.copy())) == repr(expected)
 
 
 def test_statistic_near_target_for_rank_one_poisson_data():
