@@ -65,6 +65,20 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _thread_count(text: str) -> int:
+    """Parse ``--threads``: a nonnegative integer, where 0 asks for the default."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got '{text}'")
+    return int(text)
+
+
+def _resolve_threads(args) -> int:
+    """The thread count to run with; stored back so the manifest records it, not 0."""
+    if not args.threads:
+        args.threads = _default_threads()
+    return args.threads
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -219,7 +233,7 @@ def cmd_dissim(args, out_dir: Path):
     matrix = _read_counts(args)
     method = canonical_method(args.size_factors)
     transform = args.transform == "on"
-    threads = args.threads if args.threads else _default_threads()
+    threads = _resolve_threads(args)
     if args.axis == "features":
         dm = feature_dissimilarity_matrix(
             matrix, measure=args.measure, method=method, beta=args.beta,
@@ -299,7 +313,7 @@ def cmd_replicate(args, out_dir: Path):
             ("se_nonzero", summary["nonzero"]["se"]),
         ]
     else:
-        threads = args.threads if args.threads else _default_threads()
+        threads = _resolve_threads(args)
         summary = replicate_clustering(
             n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
             reps=args.reps, seed=args.seed, measure=args.measure,
@@ -391,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--axis", choices=("samples", "features"), default="samples")
     dis.add_argument("--transform", choices=("on", "off"), default="on")
     dis.add_argument("--beta", type=float, default=1.0)
-    dis.add_argument("--threads", type=int, default=0, help="0 = POISKIT_THREADS or all cores")
+    dis.add_argument(
+        "--threads", type=_thread_count, default=0, help="0 = POISKIT_THREADS or all cores"
+    )
     dis.set_defaults(func=cmd_dissim)
 
     clus = commands.add_parser("cluster", help="complete-linkage clustering of a dissimilarity TSV")
@@ -425,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--folds", type=int, default=5)
     rep.add_argument("--transform", choices=("on", "off"), default="on")
     rep.add_argument("--beta", type=float, default=1.0)
-    rep.add_argument("--threads", type=int, default=0)
+    rep.add_argument("--threads", type=_thread_count, default=0)
     rep.set_defaults(func=cmd_replicate)
 
     for sub in (sim, trans, train, pred, cv, dis, clus, cercmd, rep):

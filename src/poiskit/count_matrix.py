@@ -23,13 +23,24 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
+_NUMBER_FORMAT = "%.17g"
+
+
 def format_number(x: float) -> str:
     """Format a value with enough digits for an exact float64 round trip.
 
     Integer-valued entries are written without a decimal point, so files of
     raw counts look like integer tables.
     """
-    return "%.17g" % x
+    return _NUMBER_FORMAT % x
+
+
+def format_row(row: np.ndarray) -> str:
+    """Tab-joined cells of a 1-D array, each as :func:`format_number` writes it.
+
+    One ``%`` over the whole row, not one call per cell.
+    """
+    return "\t".join([_NUMBER_FORMAT] * row.size) % tuple(row.tolist())
 
 
 def _check_unique(ids: tuple[str, ...], axis: str) -> None:
@@ -265,8 +276,7 @@ def write_count_matrix(matrix: CountMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("id\t" + "\t".join(matrix.feature_ids) + "\n")
         for i, sid in enumerate(matrix.sample_ids):
-            cells = "\t".join(format_number(v) for v in matrix.values[i])
-            handle.write(f"{sid}\t{cells}\n")
+            handle.write(f"{sid}\t{format_row(matrix.values[i])}\n")
 
 
 def read_two_column_tsv(path: str | Path) -> list[tuple[str, str]]:

@@ -17,8 +17,12 @@ linear index n*i - i*(i+1)/2 + (j - i - 1), the diagonal is implicitly
 zero, and each pair is computed exactly once, so symmetry is structural.
 Row i's pairs (i, j > i) form one contiguous slice, filled a tile at a
 time: row i against the next max(1, _TILE_ELEMENTS // p) rows, evaluated
-by the vectorized kernel that also computes a single pair. Threads take
-whole rows, so they write disjoint slots and never change the result.
+by the vectorized kernel that also computes a single pair. Each thread
+allocates one workspace of tile-sized buffers and every kernel step writes
+into it, so a tile allocates nothing of its own size; terms that depend on
+one row only (totals, 75th percentiles, ``x + beta``) are taken once per
+matrix. Threads take whole rows, so they write disjoint slots and never
+change the result.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_number, parse_rows
+from .count_matrix import CountMatrix, format_row, parse_rows
 from .errors import ParseError, ValidationError
 from .size_factors import canonical_method, estimate_size_factors
 from .transform import find_alpha
 
 MEASURES = ("poisson", "sq-euclidean")
-_TILE_ELEMENTS = 16_384
+_TILE_ELEMENTS = 32_768
 
 
 def condensed_index(i: int, j: int, n: int) -> int:
@@ -116,6 +120,22 @@ class _RowError(ValidationError):
         self.row = row
 
 
+_ZERO_ROW_TERM = {"total-count": "zero total count", "quantile": "zero 75th percentile"}
+
+
+def _row_terms(values: np.ndarray, method: str):
+    """Each row's total (total-count) or 75th percentile (quantile); None for median-ratio.
+
+    A pair's size factors under these two methods are its two rows' terms
+    over their sum, so the terms are taken once per matrix, not per pair.
+    """
+    if method == "total-count":
+        return values.sum(axis=1)
+    if method == "quantile":
+        return np.percentile(values, 75, axis=1)
+    return None
+
+
 def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
     """``np.median`` of each row's usable entries, given flat in row-major order."""
     padded = np.full(usable.shape, np.inf)
@@ -127,63 +147,89 @@ def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
     return np.where(m % 2 == 1, lo, (lo + hi) / 2.0)
 
 
-def _pair_size_factors(x: np.ndarray, Y: np.ndarray, method: str, quantiles):
-    """Pair-restricted size factors of ``x`` and of each row of ``Y``.
-
-    For the quantile method ``quantiles`` holds the 75th percentiles of
-    ``x`` and of the rows of ``Y``, which the caller takes once per row;
-    the other methods ignore it.
-    """
-    if method == "total-count":
-        f1, f2 = x.sum(), Y.sum(axis=1)
-        bad, message = (f1 <= 0) | (f2 <= 0), "zero total count in pair"
-    elif method == "quantile":
-        f1, f2 = quantiles
-        bad, message = (f1 <= 0) | (f2 <= 0), "zero 75th percentile in pair"
-    else:
-        # ratios to a positive geometric mean are positive, so are their medians
-        usable = (x > 0) & (Y > 0)
-        bad = ~usable.any(axis=1)
-        message = (
-            "no feature is positive in both observations; "
-            "median-ratio is undefined for this pair"
-        )
-        X = np.broadcast_to(x, Y.shape)
-        gm = np.exp(0.5 * (np.log(X[usable]) + np.log(Y[usable])))
-        f1 = _row_medians(X[usable] / gm, usable)
-        f2 = _row_medians(Y[usable] / gm, usable)
+def _median_ratio_factors(x: np.ndarray, Y: np.ndarray):
+    """Pair-restricted median-ratio factors of ``x`` and of each row of ``Y``."""
+    # ratios to a positive geometric mean are positive, so are their medians
+    usable = (x > 0) & (Y > 0)
+    bad = ~usable.any(axis=1)
     if bad.any():
-        raise _RowError(message, int(np.argmax(bad)))
-    total = f1 + f2
-    return f1 / total, f2 / total
+        raise _RowError(
+            "no feature is positive in both observations; "
+            "median-ratio is undefined for this pair",
+            int(np.argmax(bad)),
+        )
+    X = np.broadcast_to(x, Y.shape)
+    gm = np.exp(0.5 * (np.log(X[usable]) + np.log(Y[usable])))
+    return _row_medians(X[usable] / gm, usable), _row_medians(Y[usable] / gm, usable)
 
 
-def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
-    """x * log(x / n_hat) with the 0 log 0 := 0 convention."""
-    out = np.zeros(n_hat.shape)
+# (tile, p) float64 buffers in each thread's workspace for the Poisson kernel
+_POISSON_BUFFERS = 5
+
+
+def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray, out: np.ndarray) -> None:
+    """out = x * log(x / n_hat) with the 0 log 0 := 0 convention."""
     mask = x > 0
-    out[mask] = x[mask] * np.log(x[mask] / n_hat[mask])
-    return out
+    out.fill(0.0)
+    np.divide(x, n_hat, out=out, where=mask)
+    np.log(out, out=out, where=mask)
+    np.multiply(x, out, out=out, where=mask)
 
 
-def _pair_block(
-    x: np.ndarray, Y: np.ndarray, method: str, beta: float, quantiles
-) -> np.ndarray:
-    """Dissimilarities between ``x`` and each row of ``Y``, on validated inputs."""
-    s1, s2 = _pair_size_factors(x, Y, method, quantiles)
-    g = x + Y
-    n1 = s1[:, None] * g
-    n2 = s2[:, None] * g
-    if beta == 0.0:
-        X = np.broadcast_to(x, Y.shape)
-        terms = (n1 + n2) - g + (_xlog_ratio(X, n1) + _xlog_ratio(Y, n2))
-    else:
-        d1 = (x + beta) / (n1 + beta)
-        d2 = (Y + beta) / (n2 + beta)
-        terms = (n1 + n2) - (n1 * d1 + n2 * d2) + (x * np.log(d1) + Y * np.log(d2))
-    totals = terms.sum(axis=1)
-    # nonnegative up to rounding; snap accumulated round-off to zero
-    return np.where(totals > 0.0, totals, 0.0)
+def _poisson_block(values: np.ndarray, beta: float, terms):
+    """The Poisson kernel over the rows of ``values``, for :func:`_pairwise`.
+
+    ``terms`` holds :func:`_row_terms` of ``values``, all positive.
+    ``block(i, lo, hi, ws, out)`` writes the dissimilarities between row i
+    and rows lo..hi-1 into ``out``; every elementwise step writes into the
+    ``(_POISSON_BUFFERS, hi - lo, p)`` workspace ``ws``, so a tile
+    allocates nothing of its own size.
+    """
+    # x + beta and y + beta depend on one row each: shift the matrix once
+    shifted = values + beta if beta > 0.0 else None
+
+    def block(i, lo, hi, ws, out):
+        x, Y = values[i], values[lo:hi]
+        if terms is None:
+            f1, f2 = _median_ratio_factors(x, Y)
+        else:
+            f1, f2 = terms[i], terms[lo:hi]
+        total = f1 + f2
+        s1, s2 = f1 / total, f2 / total
+        g, n1, n2, d1, t = ws
+        np.add(x, Y, out=g)
+        np.multiply(s1[:, None], g, out=n1)
+        np.multiply(s2[:, None], g, out=n2)
+        if shifted is None:
+            # t = (n1 + n2) - g + (x log(x / n1) + y log(y / n2))
+            np.add(n1, n2, out=t)
+            np.subtract(t, g, out=t)
+            _xlog_ratio(x, n1, d1)
+            _xlog_ratio(Y, n2, g)
+        else:
+            # d = (x + beta) / (n + beta);
+            # t = (n1 + n2) - (n1 d1 + n2 d2) + (x log d1 + y log d2)
+            d2 = g
+            np.add(n1, beta, out=d1)
+            np.divide(shifted[i], d1, out=d1)
+            np.add(n2, beta, out=d2)
+            np.divide(shifted[lo:hi], d2, out=d2)
+            np.add(n1, n2, out=t)
+            np.multiply(n1, d1, out=n1)
+            np.multiply(n2, d2, out=n2)
+            np.add(n1, n2, out=n1)
+            np.subtract(t, n1, out=t)
+            np.log(d1, out=d1)
+            np.multiply(x, d1, out=d1)
+            np.log(d2, out=d2)
+            np.multiply(Y, d2, out=d2)
+        np.add(d1, g, out=d1)
+        np.add(t, d1, out=t)
+        t.sum(axis=1, out=out)
+        # nonnegative up to rounding; snap accumulated round-off to zero
+        out[~(out > 0.0)] = 0.0
+
+    return block
 
 
 def poisson_pair_dissimilarity(
@@ -206,11 +252,14 @@ def poisson_pair_dissimilarity(
     if beta < 0:
         raise ValidationError("beta must be nonnegative")
     method = canonical_method(method)
-    Y = x2[None, :]
-    quantiles = (
-        (np.percentile(x1, 75), np.percentile(Y, 75, axis=1)) if method == "quantile" else None
-    )
-    return float(_pair_block(x1, Y, method, beta, quantiles)[0])
+    pair = np.stack([x1, x2])
+    terms = _row_terms(pair, method)
+    if terms is not None and not np.all(terms > 0):
+        raise ValidationError(f"{_ZERO_ROW_TERM[method]} in pair")
+    out = np.empty(1)
+    block = _poisson_block(pair, beta, terms)
+    block(0, 1, 2, np.empty((_POISSON_BUFFERS, 1, x1.size)), out)
+    return float(out[0])
 
 
 def multinomial_lrt(x_i, x_iprime) -> float:
@@ -243,19 +292,26 @@ def multinomial_lrt(x_i, x_iprime) -> float:
     )
 
 
-def _pairwise(values: np.ndarray, ids, block_fn, threads: int | None) -> np.ndarray:
-    """Condensed matrix of ``block_fn(i, js)``: row i against the rows in slice js."""
+def _pairwise(values: np.ndarray, ids, block_fn, buffers: int, threads: int | None) -> np.ndarray:
+    """Condensed matrix filled by ``block_fn(i, lo, hi, ws, out)``.
+
+    The block writes row i's pairs with rows lo..hi-1 into ``out``, using
+    ``ws``, a ``(buffers, hi - lo, p)`` view of the calling thread's own
+    workspace, which is allocated once per thread and reused by every tile.
+    """
     n, p = values.shape
     condensed = np.empty(n * (n - 1) // 2)
-    tile = max(1, _TILE_ELEMENTS // p)
+    tile = max(1, min(_TILE_ELEMENTS // p, n - 1))
 
     def fill(rows):
+        workspace = np.empty((buffers, tile, p))
         for i in rows:
             offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
             for lo in range(i + 1, n, tile):
                 hi = min(lo + tile, n)
+                out = condensed[offset + lo : offset + hi]
                 try:
-                    condensed[offset + lo : offset + hi] = block_fn(i, slice(lo, hi))
+                    block_fn(i, lo, hi, workspace[:, : hi - lo], out)
                 except _RowError as exc:
                     j = lo + exc.row
                     raise ValidationError(f"pair ('{ids[i]}', '{ids[j]}'): {exc}") from exc
@@ -280,8 +336,11 @@ def poisson_dissimilarity_matrix(
     """All pairwise Poisson dissimilarities between samples.
 
     With ``transform`` on, the calibration exponent is estimated once on
-    the whole matrix and applied before any pair is touched. Rows of pairs
-    are independent; ``threads`` workers, the caller among them, fill them
+    the whole matrix and applied before any pair is touched. Under
+    total-count and quantile factors an observation whose total or 75th
+    percentile is zero has no size factor; all such observations are
+    named in one error before any pair is computed. Rows of pairs are
+    independent; ``threads`` workers, the caller among them, fill them
     concurrently into disjoint slots, so parallel output is bit-identical
     to serial.
     """
@@ -293,16 +352,16 @@ def poisson_dissimilarity_matrix(
     if transform:
         matrix = find_alpha(matrix).matrix
     values = matrix.values
-    # one 75th percentile per row, not one per row and pair
-    q = np.percentile(values, 75, axis=1) if method == "quantile" else None
-    condensed = _pairwise(
-        values,
-        matrix.sample_ids,
-        lambda i, js: _pair_block(
-            values[i], values[js], method, beta, None if q is None else (q[i], q[js])
-        ),
-        threads,
-    )
+    terms = _row_terms(values, method)
+    if terms is not None and not np.all(terms > 0):
+        zero = [matrix.sample_ids[k] for k in np.flatnonzero(~(terms > 0))]
+        shown = ", ".join(f"'{name}'" for name in zero[:10])
+        more = f" and {len(zero) - 10} more" if len(zero) > 10 else ""
+        raise ValidationError(
+            f"{_ZERO_ROW_TERM[method]} in {len(zero)} of {matrix.n} observations: {shown}{more}"
+        )
+    block = _poisson_block(values, beta, terms)
+    condensed = _pairwise(values, matrix.sample_ids, block, _POISSON_BUFFERS, threads)
     return DissimilarityMatrix(condensed, matrix.sample_ids, "poisson", method)
 
 
@@ -315,12 +374,14 @@ def sq_euclidean_dissimilarity_matrix(
     method = canonical_method(method)
     factors = estimate_size_factors(matrix, method)
     scaled = matrix.values / factors.values[:, None]
-    condensed = _pairwise(
-        scaled,
-        matrix.sample_ids,
-        lambda i, js: ((scaled[i] - scaled[js]) ** 2).sum(axis=1),
-        threads=None,
-    )
+
+    def block(i, lo, hi, ws, out):
+        diff = ws[0]
+        np.subtract(scaled[i], scaled[lo:hi], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out)
+
+    condensed = _pairwise(scaled, matrix.sample_ids, block, 1, threads=None)
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
 
 
@@ -348,7 +409,7 @@ def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("id\t" + "\t".join(dm.ids) + "\n")
         for i, sid in enumerate(dm.ids):
-            handle.write(sid + "\t" + "\t".join(format_number(v) for v in full[i]) + "\n")
+            handle.write(sid + "\t" + format_row(full[i]) + "\n")
     sidecar = {"measure": dm.measure, "method": dm.method, "n": dm.n}
     with open(str(path) + ".json", "w", encoding="utf-8") as handle:
         json.dump(sidecar, handle)

@@ -260,7 +260,29 @@ def test_dissim_feature_axis_all_zero_feature_exits_2(tmp_path, capsys):
     counts = tmp_path / "counts.tsv"
     counts.write_text("id\tf0\tf1\tf2\ns0\t3\t0\t5\ns1\t4\t0\t2\ns2\t1\t0\t6\n", encoding="utf-8")
     assert run("dissim", "--counts", counts, "--axis", "features", "--out-dir", tmp_path / "d") == 2
-    assert "pair ('f0', 'f1'): zero total count in pair" in capsys.readouterr().err
+    assert "zero total count in 1 of 3 observations: 'f1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("dissim", "replicate"))
+def test_negative_threads_exit_2(tmp_path, capsys, command):
+    args = {
+        "dissim": ["dissim", "--counts", tmp_path / "counts.tsv"],
+        "replicate": ["replicate", "clustering", "--n", 9, "--p", 120, "--phi", 0.01,
+                      "--sigma", 0.5, "--reps", 2, "--seed", 3],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        run(*args, "--threads", -3, "--out-dir", tmp_path / "out")
+    assert excinfo.value.code == 2
+    assert "--threads: must be a nonnegative integer, got '-3'" in capsys.readouterr().err
+
+
+def test_manifest_records_resolved_threads(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("POISKIT_THREADS", "3")
+    out = tmp_path / "d"
+    assert run("dissim", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 3
+    assert run("dissim", "--counts", sim_dir / "counts.tsv", "--threads", 2, "--out-dir", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 2
 
 
 def test_replicate_smoke(tmp_path):

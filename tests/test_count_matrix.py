@@ -9,12 +9,14 @@ from poiskit.count_matrix import (
     CountMatrix,
     LabeledDataset,
     Partition,
+    format_number,
     read_count_matrix,
     read_labels,
     read_partition,
     write_count_matrix,
     write_partition,
 )
+from poiskit.dissimilarity import DissimilarityMatrix, write_dissimilarity
 from poiskit.errors import ParseError, ValidationError
 
 
@@ -110,6 +112,38 @@ def test_real_round_trip_exact(tmp_path):
     path = tmp_path / "real.tsv"
     write_count_matrix(m, path)
     assert np.array_equal(read_count_matrix(path).values, m.values)
+
+
+def test_writers_match_per_cell_format_number(tmp_path):
+    # integers, tiny and huge magnitudes, subnormals and 17-digit values
+    cells = np.array([
+        0.0, 1.0, 7.0, 12345678901234567.0, 2.0**53 + 2, 1e-300, 1e300, 5e-324,
+        2.2250738585072014e-308 / 3, 0.1, 1 / 3, 2 / 3, 123456.78901234567, 9.999999999999999e22,
+        np.nextafter(1.0, 2.0), 1.7976931348623157e300,
+    ])
+    rng = np.random.default_rng(2)
+    values = np.stack([rng.permutation(cells) for _ in range(4)])
+    ids = tuple(f"s{i}" for i in range(4))
+    m = CountMatrix(values, ids, tuple(f"f{j}" for j in range(cells.size)))
+    path = tmp_path / "counts.tsv"
+    write_count_matrix(m, path)
+    expected = "id\t" + "\t".join(m.feature_ids) + "\n" + "".join(
+        sid + "\t" + "\t".join(format_number(v) for v in row) + "\n"
+        for sid, row in zip(ids, values)
+    )
+    assert path.read_bytes() == expected.encode()
+
+    full = np.zeros((cells.size, cells.size))
+    rows, cols = np.triu_indices(cells.size, 1)
+    full[rows, cols] = full[cols, rows] = rng.choice(cells, rows.size)
+    names = tuple(f"d{i}" for i in range(cells.size))
+    path = tmp_path / "dissim.tsv"
+    write_dissimilarity(DissimilarityMatrix.from_full(full, names, "poisson", "quantile"), path)
+    expected = "id\t" + "\t".join(names) + "\n" + "".join(
+        name + "\t" + "\t".join(format_number(v) for v in row) + "\n"
+        for name, row in zip(names, full)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_write_to_unwritable_path_raises(tmp_path):

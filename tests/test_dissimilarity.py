@@ -1,6 +1,7 @@
 """Poisson and squared-Euclidean dissimilarities."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from oracles import scalar_pair_dissimilarity
 
 from poiskit.count_matrix import CountMatrix
 from poiskit.dissimilarity import (
+    _POISSON_BUFFERS,
+    _TILE_ELEMENTS,
     DissimilarityMatrix,
     condensed_index,
     feature_dissimilarity_matrix,
@@ -134,8 +137,10 @@ def test_posterior_mean_path_never_exceeds_mle_path():
 
 # --- matrices ---
 
-# 16,384 // 3,000 = 5 rows per tile: row 0 of 12 spans tiles of 5, 5 and 1
-MULTI_TILE = (12, 3000)
+# 5 rows per tile: row 0 of 12 spans tiles of 5, 5 and 1, so each thread's
+# workspace is reused by a shorter last tile
+MULTI_TILE = (12, _TILE_ELEMENTS // 5)
+assert _TILE_ELEMENTS // MULTI_TILE[1] == 5
 
 
 @pytest.mark.parametrize("axis", ("samples", "features"))
@@ -147,6 +152,14 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
     # scaled rows, so that each row has its own 75th percentile
     rows = rng.integers(0, 60, MULTI_TILE) * (rng.random((n, 1)) * 3)
     m = matrix(rows if axis == "samples" else rows.T)
+    expected = {
+        (i, j): (
+            scalar_pair_dissimilarity(rows[i], rows[j], method, beta),
+            poisson_pair_dissimilarity(rows[i], rows[j], method, beta),
+        )
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     for threads in (1, 2):
         if axis == "samples":
             dm = poisson_dissimilarity_matrix(m, method, beta, transform=False, threads=threads)
@@ -154,11 +167,9 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
             dm = feature_dissimilarity_matrix(
                 m, "poisson", method, beta, transform=False, threads=threads
             )
-        for i in range(n):
-            for j in range(i + 1, n):
-                ref = scalar_pair_dissimilarity(rows[i], rows[j], method, beta)
-                assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
-                assert dm.get(i, j) == poisson_pair_dissimilarity(rows[i], rows[j], method, beta)
+        for (i, j), (ref, pair) in expected.items():
+            assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
+            assert dm.get(i, j) == pair
 
 
 def test_matrix_identical_rows_entry_zero():
@@ -200,7 +211,7 @@ def test_matrix_permutation_equivariance():
 
 def test_matrix_error_names_offending_pair():
     values = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]])
-    with pytest.raises(ValidationError, match=r"\('s0', 's1'\)"):
+    with pytest.raises(ValidationError, match=r"^zero total count in 1 of 3 observations: 's1'$"):
         poisson_dissimilarity_matrix(matrix(values), transform=False)
     # only s2 and s9 share no positive feature; s9 is in row 2's second tile
     values = np.ones(MULTI_TILE)
@@ -215,8 +226,47 @@ def test_matrix_error_names_offending_pair():
     values = np.ones(MULTI_TILE)
     values[11, 500:] = 0.0
     for threads in (1, 2):
-        with pytest.raises(ValidationError, match=r"^pair \('s0', 's11'\): zero 75th percentile"):
+        with pytest.raises(
+            ValidationError, match=r"^zero 75th percentile in 1 of 12 observations: 's11'$"
+        ):
             poisson_dissimilarity_matrix(matrix(values), "quantile", transform=False, threads=threads)
+
+
+def test_zero_total_observations_are_listed_up_front():
+    values = np.ones((15, 4))
+    values[[1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14]] = 0.0
+    message = (
+        "zero total count in 11 of 15 observations: "
+        "'s1', 's3', 's4', 's5', 's6', 's7', 's8', 's9', 's10', 's12' and 1 more"
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        poisson_dissimilarity_matrix(matrix(values), transform=False)
+    assert str(excinfo.value) == message
+    # on the feature axis the observations are the features
+    with pytest.raises(ValidationError, match=r"^zero total count in 11 of 15 observations: 'f1'"):
+        feature_dissimilarity_matrix(matrix(values.T), transform=False)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_tiles_allocate_nothing_beyond_the_workspaces(threads):
+    n, p = 40, 2_000
+    rng = np.random.default_rng(54)
+    m = matrix(rng.integers(0, 60, (n, p)).astype(float))
+    # a first call, so that one-time allocations are not traced
+    poisson_dissimilarity_matrix(m, transform=False, threads=threads)
+    tracemalloc.start()
+    try:
+        poisson_dissimilarity_matrix(m, transform=False, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    condensed = 8 * n * (n - 1) // 2
+    workspace = 8 * _POISSON_BUFFERS * min(_TILE_ELEMENTS // p, n - 1) * p
+    # the condensed array and the matrix's copy of it, values + beta once,
+    # per thread a workspace and numpy's 64 KiB iteration buffer, and 32 kB
+    # of small objects; one tile-sized temporary more would be 256 kB
+    bound = 2 * condensed + 8 * n * p + threads * (workspace + 2**16) + 32_000
+    assert peak < bound
 
 
 # --- squared Euclidean baseline ---
