@@ -144,6 +144,8 @@ def cmd_transform(args, out_dir: Path):
         "statistic": result.statistic,
         "target": result.target,
         "converged": result.converged,
+        "monotone": result.monotone,
+        "evaluations": result.evaluations,
     }
     _write_json(out_dir / "transform.json", report)
     print(json.dumps(report))
@@ -224,6 +226,7 @@ def cmd_cv(args, out_dir: Path):
     _write_json(out_dir / "cv.json", result.to_json())
     write_model(result.model, out_dir / "model.json")
     return [Path(args.counts), Path(args.labels)], {
+        "alpha": result.model.alpha,
         "selected_rho": result.selected_rho,
         "outputs": ["cv.json", "model.json"],
     }
@@ -244,7 +247,7 @@ def cmd_dissim(args, out_dir: Path):
             matrix, method=method, beta=args.beta, transform=transform, threads=threads
         )
     else:
-        dm = sq_euclidean_dissimilarity_matrix(matrix, method=method)
+        dm = sq_euclidean_dissimilarity_matrix(matrix, method=method, threads=threads)
     write_dissimilarity(dm, out_dir / "dissim.tsv")
     return [Path(args.counts)], {
         "outputs": ["dissim.tsv", "dissim.tsv.json"],

@@ -366,9 +366,13 @@ def poisson_dissimilarity_matrix(
 
 
 def sq_euclidean_dissimilarity_matrix(
-    matrix: CountMatrix, method: str = "total-count"
+    matrix: CountMatrix, method: str = "total-count", threads: int | None = None
 ) -> DissimilarityMatrix:
-    """Squared Euclidean distances after scaling each sample by its size factor."""
+    """Squared Euclidean distances after scaling each sample by its size factor.
+
+    Rows of pairs are filled by ``threads`` workers as for the Poisson
+    measure, so parallel output is bit-identical to serial.
+    """
     if matrix.n < 2:
         raise ValidationError("dissimilarity needs at least 2 observations")
     method = canonical_method(method)
@@ -381,7 +385,7 @@ def sq_euclidean_dissimilarity_matrix(
         np.square(diff, out=diff)
         diff.sum(axis=1, out=out)
 
-    condensed = _pairwise(scaled, matrix.sample_ids, block, 1, threads=None)
+    condensed = _pairwise(scaled, matrix.sample_ids, block, 1, threads)
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
 
 
@@ -399,7 +403,7 @@ def feature_dissimilarity_matrix(
     flipped = matrix.transpose()
     if measure == "poisson":
         return poisson_dissimilarity_matrix(flipped, method, beta, transform, threads)
-    return sq_euclidean_dissimilarity_matrix(flipped, method)
+    return sq_euclidean_dissimilarity_matrix(flipped, method, threads)
 
 
 def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:

@@ -41,23 +41,45 @@ def soft_threshold(x, t):
 def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Rate ratios a/b pulled toward 1 by rho / sqrt(b).
 
-    Written in the three-branch form so that rho = 0 returns a/b bitwise
-    (subtracting a zero threshold is exact) rather than the algebraically
-    equal 1 + soft_threshold(a/b - 1, 0), which reassociates the arithmetic.
+    Equal bit for bit to the three-branch form ``ratio - thr`` where
+    ``ratio - 1 > thr``, ``ratio + thr`` where ``1 - ratio > thr`` and 1
+    elsewhere, so rho = 0 returns a/b bitwise (subtracting a zero threshold
+    is exact) rather than the algebraically equal
+    1 + soft_threshold(a/b - 1, 0), which reassociates the arithmetic.
     """
-    return _ratio_shrinker(a, b)(rho)
+    return _ratio_shrinker(a, b)(rho)[0].copy()
 
 
 def _ratio_shrinker(a: np.ndarray, b: np.ndarray):
-    """``rho -> shrunken_ratios(a, b, rho)``, with every rho-free term computed once."""
+    """``rho -> (d, log d)`` with d = ``shrunken_ratios(a, b, rho)``.
+
+    Every rho-free term is computed once, and every call writes into the
+    same workspaces, so the arrays returned are overwritten by the next
+    call. The threshold takes the sign of ``ratio - 1`` before it is
+    subtracted: ``ratio - (-thr)`` equals ``ratio + thr`` exactly, so one
+    subtraction gives both shrinking branches. As in the three-branch form,
+    an infinite or NaN rho shrinks every ratio to 1.
+    """
     ratio = a / b
     dev = ratio - 1.0
-    neg_dev = -dev
+    abs_dev = np.abs(dev)
+    # +1 where dev == 0: np.sign's 0 there would meet an infinite thr as 0 * inf
+    sign = np.copysign(1.0, dev)
     sqrt_b = np.sqrt(b)
+    thr = np.empty_like(ratio)
+    d = np.empty_like(ratio)
+    log_d = np.empty_like(ratio)
+    active = np.empty(ratio.shape, dtype=bool)
+    inactive = np.empty(ratio.shape, dtype=bool)
 
-    def at(rho: float) -> np.ndarray:
-        thr = rho / sqrt_b
-        return np.where(dev > thr, ratio - thr, np.where(neg_dev > thr, ratio + thr, 1.0))
+    def at(rho: float) -> tuple[np.ndarray, np.ndarray]:
+        np.divide(rho, sqrt_b, out=thr)
+        np.greater(abs_dev, thr, out=active)
+        np.multiply(thr, sign, out=thr)
+        np.subtract(ratio, thr, out=d)
+        np.copyto(d, 1.0, where=np.logical_not(active, out=inactive))
+        np.log(d, out=log_d)
+        return d, log_d
 
     return at
 
@@ -220,9 +242,8 @@ def _fit_stats(
         sample_ids = [sample_ids[i] for i in rows]
     alpha = 1.0
     if transform:
-        alpha = calibrate(values)[0]
-        if alpha != 1.0:
-            values = values**alpha
+        calibration = calibrate(values)
+        alpha, values = calibration.alpha, calibration.values
 
     factors = size_factors_of(values, sample_ids, method)
     g_hat = values.sum(axis=0)
@@ -408,6 +429,8 @@ class CrossValidationResult:
     smallest grid value attaining the minimum error, and ``model`` is the
     classifier fitted on all of the data at that value, equal to
     ``fit(data, rho=selected_rho)`` with the same settings.
+    ``fold_alphas`` holds the transform exponent fitted on each fold's
+    training portion (1.0 throughout with the transform off).
     """
 
     rho_grid: np.ndarray
@@ -418,6 +441,7 @@ class CrossValidationResult:
     folds: int
     seed: int
     model: PldaModel
+    fold_alphas: tuple[float, ...]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -428,7 +452,32 @@ class CrossValidationResult:
             "selected_rho": self.selected_rho,
             "folds": self.folds,
             "seed": self.seed,
+            "fold_alphas": list(self.fold_alphas),
         }
+
+
+def _sweep_fold(
+    train: FitStats,
+    test_rows: np.ndarray,
+    truth: np.ndarray,
+    grid: np.ndarray,
+    errors: np.ndarray,
+    nonzero: np.ndarray,
+) -> None:
+    """Add one fold's held-out errors and active features at each rho to the totals.
+
+    ``test_rows`` are already transformed. The shrinker's workspaces live
+    only for this call, so no two folds hold them at once.
+    """
+    s_stars = np.array([estimate_test_size_factor(train.size_factors, row) for row in test_rows])
+    shrunk = _ratio_shrinker(train.a, train.b)
+    log_priors = np.log(train.priors)
+    for r, rho in enumerate(grid):
+        d, log_d = shrunk(rho)
+        scores = _score_rows(test_rows, s_stars, log_d, d @ train.g_hat, log_priors)
+        predicted = np.argmax(scores, axis=1) + 1
+        errors[r] += int((predicted != truth).sum())
+        nonzero[r] += _nonzero_features(d)
 
 
 def cross_validate(
@@ -461,25 +510,16 @@ def cross_validate(
 
     errors = np.zeros(grid.size, dtype=np.int64)
     nonzero = np.zeros(grid.size, dtype=np.float64)
+    fold_alphas = []
     for f in range(effective):
         test_idx = np.flatnonzero(fold_of == f)
         train = _fit_stats(
             data, method, beta, prior_mode, transform, rows=np.flatnonzero(fold_of != f)
         )
+        fold_alphas.append(train.alpha)
         test_raw = data.matrix.values[test_idx]
         test_rows = test_raw if train.alpha == 1.0 else test_raw**train.alpha
-        truth = data.labels[test_idx]
-        s_stars = np.array(
-            [estimate_test_size_factor(train.size_factors, row) for row in test_rows]
-        )
-        shrunk = _ratio_shrinker(train.a, train.b)
-        log_priors = np.log(train.priors)
-        for r, rho in enumerate(grid):
-            d = shrunk(rho)
-            scores = _score_rows(test_rows, s_stars, np.log(d), d @ train.g_hat, log_priors)
-            predicted = np.argmax(scores, axis=1) + 1
-            errors[r] += int((predicted != truth).sum())
-            nonzero[r] += _nonzero_features(d)
+        _sweep_fold(train, test_rows, data.labels[test_idx], grid, errors, nonzero)
     nonzero /= effective
     best = int(np.argmin(errors))
     selected = float(grid[best])
@@ -492,6 +532,7 @@ def cross_validate(
         folds=effective,
         seed=seed,
         model=_model_from_stats(stats, selected),
+        fold_alphas=tuple(fold_alphas),
     )
 
 

@@ -124,7 +124,9 @@ def replicate_clustering(
                 transform=transform, threads=threads,
             )
         elif measure == "sq-euclidean":
-            dm = sq_euclidean_dissimilarity_matrix(dataset.data.matrix, method=method)
+            dm = sq_euclidean_dissimilarity_matrix(
+                dataset.data.matrix, method=method, threads=threads
+            )
         else:
             raise ValidationError(f"unknown measure '{measure}'")
         partition = cut_tree(complete_linkage(dm), cut_k)

@@ -6,6 +6,21 @@ total-count fit matches the degrees of freedom (n-1)(p-1). Overdispersed
 data yield alpha < 1; data already consistent with the independence fit are
 left untouched (alpha = 1). No algorithm inflates data toward alpha > 1.
 
+The exponent is the rightmost crossing of the target on a 21-point grid
+over [ALPHA_MIN, 1], refined to STAT_RTOL. The search predicts the grid
+bracket from a line through the log statistic at alpha = 1 and at the next
+grid point, checks that bracket with one or two evaluations (walking one
+grid point at a time if the check fails), and refines inside it by Illinois
+regula falsi on log(statistic / target), falling back to bisection.
+
+On simulated draws the statistic falls as alpha falls from 1 down to the
+crossing. Below it, near ALPHA_MIN, it can rise again: every positive entry
+tends to 1, so the statistic tends to that of the zero pattern. The search
+does not rely on either: if any evaluation rises as alpha falls, every grid
+point above the bracket is evaluated, as a plain downward scan would.
+Typical calls take 4 or 5 evaluations of the statistic;
+``TransformResult.evaluations`` counts them.
+
 Rows or columns whose totals are zero carry no information for the fit;
 they are excluded from the statistic and the degrees-of-freedom target
 shrinks accordingly (zero entries stay zero under the transform, so the
@@ -14,8 +29,11 @@ exclusion is stable in alpha).
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,16 +53,33 @@ class TransformResult:
     ``converged`` is true when the statistic is within STAT_RTOL of the
     target, or when the raw data already satisfied the fit at alpha = 1
     (in which case the statistic may sit anywhere below the target).
+    ``monotone`` is false when some evaluation of the statistic rose as
+    alpha fell; ``evaluations`` counts the statistics computed.
     """
 
     alpha: float
     statistic: float
     target: float
     converged: bool
+    monotone: bool
+    evaluations: int
     matrix: CountMatrix
 
 
+class Calibration(NamedTuple):
+    """Outcome of :func:`calibrate`; ``values`` is the input raised to ``alpha``."""
+
+    alpha: float
+    statistic: float
+    target: float
+    converged: bool
+    monotone: bool
+    evaluations: int
+    values: np.ndarray
+
+
 def _positive_submatrix(values: np.ndarray) -> np.ndarray:
+    """``values`` without its zero-total rows and columns (``values`` itself if none)."""
     rows = values.sum(axis=1) > 0
     cols = values.sum(axis=0) > 0
     if rows.sum() < 2 or cols.sum() < 2:
@@ -52,22 +87,25 @@ def _positive_submatrix(values: np.ndarray) -> np.ndarray:
             "goodness-of-fit statistic needs at least 2 samples and 2 features "
             "with positive totals"
         )
+    if rows.all() and cols.all():
+        return values
     return values[np.ix_(rows, cols)]
 
 
-def _pearson_stat(x: np.ndarray) -> float:
-    """Pearson statistic of ``x`` against its rank-one fit; overwrites ``x``.
+def _pearson_stat(x: np.ndarray, work: np.ndarray) -> float:
+    """Pearson statistic of ``x`` against its rank-one fit; overwrites ``work``.
 
     The operations are those of ``(resid * resid / fitted).sum()`` with
     ``fitted = np.outer(row sums, column sums) / total`` and
-    ``resid = x - fitted``, done in place to save two temporaries.
+    ``resid = x - fitted``, done in place in ``work`` (which may be ``x``
+    itself) to save two temporaries.
     """
     fitted = np.outer(x.sum(axis=1), x.sum(axis=0))
     fitted /= x.sum()
-    x -= fitted
-    x *= x
-    x /= fitted
-    return float(x.sum())
+    np.subtract(x, fitted, out=work)
+    work *= work
+    work /= fitted
+    return float(work.sum())
 
 
 def gof_statistic(matrix: CountMatrix) -> float:
@@ -75,7 +113,8 @@ def gof_statistic(matrix: CountMatrix) -> float:
 
     Compare to (n-1)(p-1) counted over positive-total rows and columns.
     """
-    return _pearson_stat(_positive_submatrix(matrix.values))
+    sub = _positive_submatrix(matrix.values)
+    return _pearson_stat(sub, np.empty_like(sub))
 
 
 def apply_alpha(matrix: CountMatrix, alpha: float) -> CountMatrix:
@@ -90,62 +129,166 @@ def apply_alpha(matrix: CountMatrix, alpha: float) -> CountMatrix:
 def find_alpha(matrix: CountMatrix) -> TransformResult:
     """Search for the exponent that calibrates the goodness-of-fit statistic.
 
-    The statistic decreases empirically as alpha shrinks, so a coarse
-    21-point scan from 1 downward brackets the crossing and bisection
-    refines it, stopping once the statistic is within 0.1% of the target or
-    the bracket is narrower than 1e-6. If even ALPHA_MIN leaves the
-    statistic above target, ALPHA_MIN is returned with ``converged=False``
-    and a warning; downstream methods still run on the transformed data.
+    The result is the rightmost crossing of the target among the 21 grid
+    points from ALPHA_MIN to 1, refined inside its grid bracket until the
+    statistic is within 0.1% of the target or the bracket is narrower than
+    1e-6. The bracket is predicted from the log statistic at alpha = 1 and
+    at the next grid point, then checked; Illinois regula falsi refines it.
+    If any evaluation rises as alpha falls, the grid points above the
+    bracket are all evaluated, so the rightmost crossing is found without
+    assuming the statistic is monotone; ``monotone`` and ``evaluations``
+    report this. If even ALPHA_MIN leaves the statistic above target,
+    ALPHA_MIN is returned with ``converged=False`` and a warning;
+    downstream methods still run on the transformed data.
     """
-    alpha, statistic, target, converged = calibrate(matrix.values)
-    return TransformResult(alpha, statistic, target, converged, apply_alpha(matrix, alpha))
+    cal = calibrate(matrix.values)
+    transformed = matrix
+    if cal.alpha != 1.0:
+        transformed = CountMatrix(cal.values, matrix.sample_ids, matrix.feature_ids)
+    return TransformResult(
+        cal.alpha, cal.statistic, cal.target, cal.converged, cal.monotone, cal.evaluations,
+        transformed,
+    )
 
 
-def calibrate(values: np.ndarray) -> tuple[float, float, float, bool]:
+def calibrate(values: np.ndarray) -> Calibration:
     """The search of :func:`find_alpha` on a raw value array.
 
-    Returns ``(alpha, statistic, target, converged)``; raising ``values`` to
-    ``alpha`` gives the transformed matrix.
+    ``values`` of the result is ``values ** alpha`` (``values`` itself at
+    alpha = 1). When no row or column was dropped and the last statistic
+    was computed at the returned exponent, that power is handed back
+    rather than computed again.
     """
     sub = _positive_submatrix(values)
     n_pos, p_pos = sub.shape
     target = float((n_pos - 1) * (p_pos - 1))
+    powered = np.empty_like(sub)
+    # the power is handed back only when nothing was dropped; otherwise
+    # the statistic may overwrite it, and ``sub`` is already a copy
+    work = np.empty_like(sub) if sub is values else powered
+    held = 1.0  # the exponent whose power ``powered`` holds
 
-    stat_at_one = _pearson_stat(sub.copy())
-    if stat_at_one <= target:
-        return 1.0, stat_at_one, target, True
+    def stat_of(alpha: float) -> float:
+        nonlocal held
+        if alpha == 1.0:
+            return _pearson_stat(sub, work)
+        np.power(sub, alpha, out=powered)
+        held = alpha
+        return _pearson_stat(powered, work)
 
-    grid = np.linspace(ALPHA_MIN, 1.0, GRID_POINTS)
-    stats = {1.0: stat_at_one}
+    alpha, statistic, converged, seen = _search(stat_of, target)
+    if alpha == 1.0:
+        transformed = values
+    elif held == alpha and sub is values:
+        transformed = powered
+    else:
+        transformed = values**alpha
+    return Calibration(
+        alpha, statistic, target, converged, _monotone(seen), len(seen), transformed
+    )
+
+
+def _monotone(seen: dict[float, float]) -> bool:
+    """Whether no evaluated statistic rises as alpha falls."""
+    stats = [seen[alpha] for alpha in sorted(seen)]
+    return all(low <= high for low, high in zip(stats, stats[1:]))
+
+
+def _search(
+    stat_of: Callable[[float], float], target: float
+) -> tuple[float, float, bool, dict[float, float]]:
+    """Rightmost grid crossing of ``stat_of(alpha) = target``, refined.
+
+    Returns ``(alpha, statistic, converged, seen)``, where ``seen`` maps
+    every exponent evaluated to its statistic.
+    """
+    seen: dict[float, float] = {}
 
     def stat_at(alpha: float) -> float:
-        if alpha not in stats:
-            stats[alpha] = _pearson_stat(sub**alpha)
-        return stats[alpha]
+        if alpha not in seen:
+            seen[alpha] = stat_of(alpha)
+        return seen[alpha]
 
-    # scan downward for the rightmost bracket (least aggressive transform)
-    lo = None
-    for i in range(GRID_POINTS - 2, -1, -1):
-        if stat_at(float(grid[i])) <= target:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            break
-    if lo is None:
-        stat_min = stat_at(float(grid[0]))
-        warnings.warn(
-            f"power transform did not reach the goodness-of-fit target even at "
-            f"alpha={ALPHA_MIN} (statistic {stat_min:.6g} > target {target:.6g})",
-            RuntimeWarning,
-        )
-        return ALPHA_MIN, stat_min, target, False
+    if stat_at(1.0) <= target:
+        return 1.0, seen[1.0], True, seen
+    grid = np.linspace(ALPHA_MIN, 1.0, GRID_POINTS).tolist()
+    top = GRID_POINTS - 1
+    i = _predicted_bracket(grid, seen[1.0], stat_at(grid[top - 1]), target)
+    # check grid[i] <= target < grid[i + 1], walking a grid point at a time
+    while i + 1 < top and stat_at(grid[i + 1]) <= target:
+        i += 1
+    while i >= 0 and stat_at(grid[i]) > target:
+        i -= 1
 
+    guarded = False
     while True:
-        mid = 0.5 * (lo + hi)
-        stat_mid = stat_at(mid)
-        if abs(stat_mid - target) <= STAT_RTOL * target:
-            return mid, stat_mid, target, True
+        if not guarded and not _monotone(seen):
+            # the bracket's upper end proves nothing about the points above it
+            guarded = True
+            above = range(i + 2, top)
+            i = max([i] + [j for j in above if stat_at(grid[j]) <= target])
+        if i < 0:
+            stat_min = stat_at(grid[0])
+            warnings.warn(
+                f"power transform did not reach the goodness-of-fit target even at "
+                f"alpha={ALPHA_MIN} (statistic {stat_min:.6g} > target {target:.6g})",
+                RuntimeWarning,
+            )
+            return ALPHA_MIN, stat_min, False, seen
+        alpha, statistic, converged = _refine(stat_at, grid[i], grid[i + 1], target)
+        if guarded or _monotone(seen):
+            return alpha, statistic, converged, seen
+
+
+def _predicted_bracket(grid: list[float], stat_top: float, stat_next: float, target: float) -> int:
+    """Grid index ``i`` whose interval ``[grid[i], grid[i + 1]]`` should hold the crossing.
+
+    A line through the log statistic at the two highest grid points is
+    extrapolated to the target. Without a fall between them there is no
+    line to follow, and the scan starts at the next grid point down.
+    """
+    top = len(grid) - 1
+    if stat_next <= target:
+        return top - 1
+    if stat_next >= stat_top:
+        return top - 2
+    slope = math.log(stat_top / stat_next) / (grid[top] - grid[top - 1])
+    guess = grid[top] - math.log(stat_top / target) / slope
+    return min(max(bisect_right(grid, guess) - 1, 0), top - 2)
+
+
+def _log_ratio(statistic: float, target: float) -> float:
+    return math.log(statistic / target) if statistic > 0 else -math.inf
+
+
+def _refine(
+    stat_at: Callable[[float], float], lo: float, hi: float, target: float
+) -> tuple[float, float, bool]:
+    """Illinois regula falsi on log(stat / target) in [lo, hi], where the sign changes.
+
+    A step that leaves the open bracket, or two steps that together fail to
+    halve it, are replaced by bisection.
+    """
+    tol = STAT_RTOL * target
+    f_lo, f_hi = _log_ratio(stat_at(lo), target), _log_ratio(stat_at(hi), target)
+    widths = [hi - lo]
+    kept = 0  # +1 after moving hi, -1 after moving lo
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            x = 0.5 * (lo + hi)
+        stat = stat_at(x)
+        if abs(stat - target) <= tol:
+            return x, stat, True
         if hi - lo < BRACKET_TOL:
-            return mid, stat_mid, target, False
-        if stat_mid > target:
-            hi = mid
+            return x, stat, False
+        f = _log_ratio(stat, target)
+        if f > 0:
+            if kept > 0:
+                f_lo *= 0.5  # Illinois: the same end moved twice, so weaken the other
+            hi, f_hi, kept = x, f, 1
         else:
-            lo = mid
+            if kept < 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = x, f, -1
+        widths.append(hi - lo)

@@ -174,7 +174,12 @@ def test_cv_writes_selection(sim_dir, tmp_path):
     assert cv["rho_grid"] == [0.0, 1000000.0]
     assert len(cv["errors"]) == 2
     assert cv["selected_rho"] in cv["rho_grid"]
+    assert len(cv["fold_alphas"]) == cv["folds"] == 4
+    assert all(0.0 < alpha <= 1.0 for alpha in cv["fold_alphas"])
     assert (cv_dir / "model.json").exists()
+    manifest = json.loads((cv_dir / "manifest.json").read_text())
+    model = json.loads((cv_dir / "model.json").read_text())
+    assert manifest["alpha"] == model["alpha"]
 
 
 @pytest.mark.parametrize("options", [[], ["--size-factors", "quantile", "--priors", "empirical"]])
@@ -191,7 +196,8 @@ def test_transform_reports_json(sim_dir, tmp_path, capsys):
     out = tmp_path / "t"
     assert run("transform", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert set(printed) >= {"alpha", "statistic", "target", "converged"}
+    assert set(printed) >= {"alpha", "statistic", "target", "converged", "monotone", "evaluations"}
+    assert printed["monotone"] is True and 1 <= printed["evaluations"] <= 8
     saved = json.loads((out / "transform.json").read_text())
     assert saved == printed
     assert (out / "transformed.tsv").exists()

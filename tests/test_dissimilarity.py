@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import scalar_pair_dissimilarity
 
-from poiskit.count_matrix import CountMatrix
+from poiskit import cli, dissimilarity
+from poiskit.count_matrix import CountMatrix, write_count_matrix
 from poiskit.dissimilarity import (
     _POISSON_BUFFERS,
     _TILE_ELEMENTS,
@@ -26,6 +27,7 @@ from poiskit.dissimilarity import (
     write_dissimilarity,
 )
 from poiskit.errors import ParseError, ValidationError
+from poiskit.replicate import replicate_clustering
 from poiskit.transform import find_alpha
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -190,14 +192,47 @@ def test_matrix_transform_is_estimated_once_globally():
 def test_parallel_matches_serial_bitwise():
     rng = np.random.default_rng(52)
     m = matrix(rng.integers(1, 80, MULTI_TILE).astype(float))
-    serial = poisson_dissimilarity_matrix(m, transform=False, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        threaded = poisson_dissimilarity_matrix(m, transform=False, threads=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(serial.condensed, threaded.condensed)
+    features = matrix(rng.integers(1, 80, MULTI_TILE[::-1]).astype(float))
+    runs = [
+        lambda threads: poisson_dissimilarity_matrix(m, transform=False, threads=threads),
+        lambda threads: sq_euclidean_dissimilarity_matrix(m, threads=threads),
+        lambda threads: feature_dissimilarity_matrix(
+            features, measure="sq-euclidean", threads=threads
+        ),
+    ]
+    for compute in runs:
+        serial = compute(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threaded = compute(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.condensed, threaded.condensed)
+
+
+def test_sq_euclidean_threads_reach_the_pair_loop(monkeypatch, tmp_path):
+    seen = []
+    original = dissimilarity._pairwise
+
+    def spy(values, ids, block_fn, buffers, threads):
+        seen.append(threads)
+        return original(values, ids, block_fn, buffers, threads)
+
+    monkeypatch.setattr(dissimilarity, "_pairwise", spy)
+    m = matrix(np.random.default_rng(54).integers(1, 40, (6, 9)).astype(float))
+    sq_euclidean_dissimilarity_matrix(m, threads=3)
+    feature_dissimilarity_matrix(m, measure="sq-euclidean", threads=2)
+    write_count_matrix(m, tmp_path / "counts.tsv")
+    for axis in ("samples", "features"):
+        assert cli.main([
+            "dissim", "--counts", str(tmp_path / "counts.tsv"), "--measure", "sq-euclidean",
+            "--axis", axis, "--threads", "4", "--out-dir", str(tmp_path / axis),
+        ]) == 0
+    replicate_clustering(
+        n=6, p=30, K=2, phi=0.0, sigma=0.1, reps=1, seed=1, measure="sq-euclidean", threads=5
+    )
+    assert seen == [3, 2, 4, 4, 5]
 
 
 def test_matrix_permutation_equivariance():

@@ -13,8 +13,10 @@ from oracles import per_rho_cross_validate, scalar_plda_scores
 from poiskit.count_matrix import CountMatrix, LabeledDataset
 from poiskit.errors import ValidationError
 from poiskit.simulate import SimulationConfig, simulate
+from poiskit.transform import calibrate
 from poiskit.plda import (
     PldaModel,
+    _ratio_shrinker,
     cross_validate,
     default_rho_grid,
     fit,
@@ -234,15 +236,41 @@ def test_shrunken_ratios_zero_rho_is_exact_division():
 
 def test_shrunken_ratios_match_three_branch_formula():
     rng = np.random.default_rng(11)
-    a = rng.random((3, 200)) * 20 + 0.1
-    b = rng.random((3, 200)) * 20 + 0.1
+    b_random = rng.random((3, 200)) * 20 + 0.1
+    a_random = rng.random((3, 200)) * 20 + 0.1
+    b_edge = np.tile([7.3, 4.0, 4.0, 3.1, 3.1], (3, 1))
+    # a == b (ratio - 1 == 0); |ratio - 1| == rho / sqrt(b) exactly at rho = 1
+    # (ratios 1.5 and 0.5 over sqrt(4) = 2); ratios below 0.5, where
+    # ratio - 1 is not exact, and above 2
+    a_edge = b_edge * np.array([1.0, 1.5, 0.5, 0.0137, 41.9])
+    b_far = rng.random((3, 40)) * 20 + 0.1
+    a_far = b_far * np.exp(rng.choice([-1.0, 1.0], (3, 40)) * rng.uniform(0.7, 5.0, (3, 40)))
+    a = np.hstack([a_random, a_edge, a_far])
+    b = np.hstack([b_random, b_edge, b_far])
     ratio = a / b
-    for rho in (0.0, 1e-3, 0.1, 0.7, 3.0, 50.0):
+    assert np.any(ratio == 1.0) and np.any(np.abs(ratio - 1.0) == 1.0 / np.sqrt(b))
+    bound = float(np.max(np.sqrt(b) * np.abs(ratio - 1.0)))  # shrinkage_upper_bound
+    for rho in (0.0, 1e-3, 0.1, 0.7, 1.0, 3.0, 50.0, bound, 2.0 * bound, np.inf, np.nan):
         thr = rho / np.sqrt(b)
         expected = np.where(
             ratio - 1.0 > thr, ratio - thr, np.where(1.0 - ratio > thr, ratio + thr, 1.0)
         )
-        assert np.array_equal(shrunken_ratios(a, b, rho), expected)
+        with np.errstate(all="raise"):  # an infinite rho meets no 0 * inf
+            assert np.array_equal(shrunken_ratios(a, b, rho), expected), rho
+            d, log_d = _ratio_shrinker(a, b)(rho)
+        assert np.array_equal(d, expected) and np.array_equal(log_d, np.log(expected)), rho
+    assert np.all(shrunken_ratios(a, b, 2.0 * bound) == 1.0)
+
+
+def test_ratio_shrinker_reuses_its_workspaces():
+    rng = np.random.default_rng(12)
+    a = rng.random((3, 50)) * 20 + 0.1
+    b = rng.random((3, 50)) * 20 + 0.1
+    shrink = _ratio_shrinker(a, b)
+    first, first_log = shrink(0.5)
+    second, second_log = shrink(0.0)
+    assert second is first and second_log is first_log
+    assert np.array_equal(second, a / b)
 
 
 # --- cross-validation ---
@@ -331,6 +359,20 @@ def test_cv_matches_per_rho_model_oracle(method, transform, prior_mode, grid):
         assert getattr(model, name) == getattr(refit, name), name
     assert model.size_factors.to_json() == refit.size_factors.to_json()
     assert transform == (model.alpha < 1.0)
+
+
+@pytest.mark.parametrize("transform", [True, False])
+def test_cv_records_each_fold_exponent(transform):
+    data = overdispersed_dataset()
+    result = cross_validate(data, rho_grid=[0.0, 1.0], folds=3, seed=7, transform=transform)
+    fold_of, folds = stratified_folds(data.labels, 3, 7)
+    expected = [
+        calibrate(data.matrix.values[fold_of != f]).alpha if transform else 1.0
+        for f in range(folds)
+    ]
+    assert list(result.fold_alphas) == expected
+    assert result.to_json()["fold_alphas"] == expected
+    assert all(alpha < 1.0 for alpha in expected) == transform
 
 
 def test_stratified_folds_reduce_with_warning():

@@ -1,15 +1,33 @@
 """Power transform calibration."""
 
+import statistics
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from poiskit.count_matrix import CountMatrix
 from poiskit.errors import ValidationError
-from poiskit.simulate import SimulationConfig, simulate
-from poiskit.transform import _pearson_stat, apply_alpha, find_alpha, gof_statistic
+from poiskit.plda import stratified_folds
+from poiskit.replicate import _rep_seeds
+from poiskit.simulate import SimulationConfig, simulate, split_train_test
+from poiskit.transform import (
+    ALPHA_MIN,
+    GRID_POINTS,
+    STAT_RTOL,
+    _pearson_stat,
+    _positive_submatrix,
+    _search,
+    apply_alpha,
+    calibrate,
+    find_alpha,
+    gof_statistic,
+)
+
+GRID = np.linspace(ALPHA_MIN, 1.0, GRID_POINTS)
 
 
 def matrix(rows):
@@ -40,7 +58,7 @@ def test_in_place_pearson_stat_equals_out_of_place_formula(x):
         fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
         resid = x - fitted
         expected = float((resid * resid / fitted).sum())
-        assert repr(_pearson_stat(x.copy())) == repr(expected)
+        assert repr(_pearson_stat(x.copy(), np.empty_like(x))) == repr(expected)
 
 
 def test_statistic_near_target_for_rank_one_poisson_data():
@@ -53,9 +71,12 @@ def test_statistic_near_target_for_rank_one_poisson_data():
 
 def test_rank_one_poisson_data_keeps_alpha_one():
     config = SimulationConfig(n=20, p=2000, K=3, phi=0.0, sigma=0.1, de_prob=0.0, seed=2)
-    result = find_alpha(simulate(config).data.matrix)
+    data = simulate(config).data.matrix
+    result = find_alpha(data)
     assert result.alpha == 1.0
     assert result.converged
+    assert result.matrix is data and result.evaluations == 1 and result.monotone
+    assert calibrate(data.values).values is data.values
 
 
 def test_overdispersed_data_is_calibrated():
@@ -116,3 +137,153 @@ def test_transform_tolerates_zero_columns():
 def test_degenerate_matrix_rejected():
     with pytest.raises(ValidationError):
         gof_statistic(matrix([[1, 2, 3]]))
+
+
+# --- the exponent search ---
+
+def scan_bracket(stats, target):
+    """Grid bracket of a plain downward scan over the statistics at GRID.
+
+    The index i of the rightmost grid crossing, so that the crossing lies in
+    [GRID[i], GRID[i + 1]]; None when alpha = 1 already meets the target and
+    -1 when no grid point does.
+    """
+    if stats[-1] <= target:
+        return None
+    for i in range(GRID_POINTS - 2, -1, -1):
+        if stats[i] <= target:
+            return i
+    return -1
+
+
+def grid_stats(sub):
+    return [_pearson_stat(x, x) for x in (sub**alpha for alpha in GRID)]
+
+
+def assert_in_bracket(alpha, i):
+    if i is None:
+        assert alpha == 1.0
+    elif i < 0:
+        assert alpha == ALPHA_MIN
+    else:
+        assert GRID[i] <= alpha <= GRID[i + 1]
+
+
+@given(
+    n=st.integers(4, 60),
+    p=st.integers(2, 2_000),
+    # subnormal phi overflows 1/phi in the simulator's gamma draw
+    phi=st.floats(0.0, 2.0, allow_subnormal=False),
+    sigma=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_statistic_falls_with_alpha_and_search_finds_the_scan_bracket(n, p, phi, sigma, seed):
+    """From the scan bracket up to alpha = 1 the statistic does not rise as
+    alpha falls (below the bracket it may: see the next test)."""
+    config = SimulationConfig(n=n, p=p, K=3, phi=phi, sigma=sigma, seed=seed)
+    values = simulate(config).data.matrix.values
+    try:
+        sub = _positive_submatrix(values)
+    except ValidationError:
+        assume(False)
+    target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
+    stats = grid_stats(sub)
+    bracket = scan_bracket(stats, target)
+    upper = stats[max(bracket, 0):] if bracket is not None else []
+    assert all(low <= high for low, high in zip(upper, upper[1:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # ALPHA_MIN may not reach the target
+        result = calibrate(values)
+    assert_in_bracket(result.alpha, bracket)
+
+
+def test_statistic_can_rise_near_alpha_min_below_the_crossing():
+    # as alpha -> 0 every positive entry tends to 1, so the statistic tends to
+    # that of the zero pattern, which a sparse draw can push back up
+    config = SimulationConfig(n=4, p=299, K=3, phi=0.05078125, sigma=0.0625, seed=2671)
+    values = simulate(config).data.matrix.values
+    sub = _positive_submatrix(values)
+    target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
+    stats = grid_stats(sub)
+    assert stats[0] > stats[1]
+    bracket = scan_bracket(stats, target)
+    assert bracket > 1
+    result = calibrate(values)
+    assert_in_bracket(result.alpha, bracket)
+    assert result.monotone  # the search never evaluates that far down
+
+
+def table_statistic(table):
+    """A statistic equal to ``table`` on GRID and linear between grid points."""
+    return lambda alpha: float(np.interp(alpha, GRID, table))
+
+
+def test_guard_finds_the_rightmost_crossing_of_a_non_monotone_statistic():
+    # target 1; the line through alpha = 1 and 0.9505 predicts a crossing
+    # near 0.79, and the check walks up to the bracket [0.802, 0.8515]. The
+    # rise from 0.9505 (2.9) to 0.8515 (3.0) sends the search back up to the
+    # grid points above that bracket, and 0.901 (0.9) is the rightmost crossing.
+    table = np.full(GRID_POINTS, 0.5)
+    table[17:] = [3.0, 0.9, 2.9, 4.0]
+    alpha, statistic, converged, seen = _search(table_statistic(table), 1.0)
+    assert scan_bracket(table, 1.0) == 18
+    assert_in_bracket(alpha, 18)
+    assert converged and abs(statistic - 1.0) <= STAT_RTOL
+    assert GRID[17] in seen and GRID[16] in seen  # the prediction was checked first
+
+
+def test_search_matches_the_scan_when_the_top_points_rise():
+    # no fall between alpha = 1 and 0.9505, so there is no line to follow
+    table = np.linspace(0.2, 3.0, GRID_POINTS)
+    table[-1] = 2.0
+    alpha, statistic, converged, seen = _search(table_statistic(table), 1.0)
+    assert_in_bracket(alpha, scan_bracket(table, 1.0))
+    assert converged and abs(statistic - 1.0) <= STAT_RTOL
+
+
+def test_search_warns_when_no_grid_point_reaches_the_target():
+    table = np.linspace(2.0, 5.0, GRID_POINTS)
+    with pytest.warns(RuntimeWarning, match="did not reach"):
+        alpha, statistic, converged, _ = _search(table_statistic(table), 1.0)
+    assert (alpha, statistic, converged) == (ALPHA_MIN, 2.0, False)
+
+
+def test_calibrate_hands_back_the_power_bit_for_bit():
+    config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
+    values = simulate(config).data.matrix.values
+    result = calibrate(values)
+    assert result.alpha < 1.0
+    assert np.array_equal(result.values, values**result.alpha)
+    dropped = values.copy()
+    dropped[:, 3] = 0.0  # a silent feature: the power is computed on the full array
+    result = calibrate(dropped)
+    assert np.array_equal(result.values, dropped**result.alpha)
+
+
+def test_median_calibration_takes_at_most_five_evaluations():
+    """Over criterion 1's first classify draw (full data and each cv fold's
+    training rows), criterion 9's phi=1 draw and an n=300, p=1k draw."""
+    train_seed, test_seed, cv_seed = (int(x) for x in _rep_seeds(20260810, 50, 3)[0])
+    config = SimulationConfig(n=12, p=10_000, K=3, phi=0.01, sigma=0.05, seed=train_seed)
+    train, _ = split_train_test(simulate(config), test_seed)
+    m = train.data.matrix
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="reducing folds")
+        fold_of, folds = stratified_folds(train.data.labels, 5, cv_seed)
+    draws = [m] + [
+        CountMatrix(m.values[rows], [m.sample_ids[i] for i in rows], m.feature_ids)
+        for rows in (np.flatnonzero(fold_of != f) for f in range(folds))
+    ]
+    for config in (
+        SimulationConfig(n=25, p=2_000, K=3, phi=1.0, sigma=0.5, seed=13),
+        SimulationConfig(n=300, p=1_000, K=3, phi=0.01, sigma=0.1, seed=1),
+    ):
+        draws.append(simulate(config).data.matrix)
+    results = [find_alpha(draw) for draw in draws]
+    assert all(r.converged and r.monotone and r.alpha < 1.0 for r in results)
+    counts = [r.evaluations for r in results]
+    assert statistics.median(counts) <= 5, counts
+    # criterion 9's draw crosses near alpha = 0.45, 12 grid points below 1:
+    # only the predicted bracket keeps it short
+    assert results[-2].alpha < 0.5 and results[-2].evaluations <= 6, counts
