@@ -12,7 +12,6 @@ from .count_matrix import (
 from .dissimilarity import (
     DissimilarityMatrix,
     feature_dissimilarity_matrix,
-    multinomial_lrt,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
     sq_euclidean_dissimilarity_matrix,
@@ -27,7 +26,6 @@ from .plda import (
     fit,
     predict,
     predict_matrix,
-    soft_threshold,
 )
 from .simulate import (
     SimulatedDataset,
@@ -39,11 +37,8 @@ from .simulate import (
 )
 from .size_factors import (
     SizeFactors,
-    estimate_median_ratio,
-    estimate_quantile,
     estimate_size_factors,
     estimate_test_size_factor,
-    estimate_total_count,
 )
 from .transform import TransformResult, apply_alpha, find_alpha, gof_statistic
 

@@ -181,9 +181,9 @@ def cmd_predict(args, out_dir: Path):
     with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
         header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
         handle.write("\t".join(header) + "\n")
-        for sid, pred in zip(matrix.sample_ids, predictions):
-            cells = [sid, model.class_names[pred.class_index - 1]]
-            cells += [format_number(v) for v in pred.posterior]
+        rows = zip(matrix.sample_ids, predictions.class_index, predictions.posterior)
+        for sid, k, posterior in rows:
+            cells = [sid, model.class_names[k - 1]] + [format_number(v) for v in posterior]
             handle.write("\t".join(cells) + "\n")
     inputs = [Path(args.model), Path(args.counts)]
     extra = {"outputs": ["predictions.tsv"]}
@@ -197,8 +197,7 @@ def cmd_predict(args, out_dir: Path):
             if by_id[sid] not in index_of:
                 raise ValidationError(f"unknown class '{by_id[sid]}' in labels")
             truth.append(index_of[by_id[sid]])
-        predicted = np.array([p.class_index for p in predictions])
-        extra["errors"] = int((predicted != np.array(truth)).sum())
+        extra["errors"] = int((predictions.class_index != np.array(truth)).sum())
         extra["n"] = matrix.n
         inputs.append(Path(args.labels))
     return inputs, extra

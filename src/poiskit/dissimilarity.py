@@ -86,13 +86,9 @@ class DissimilarityMatrix:
 
     def full(self) -> np.ndarray:
         """Materialize the symmetric n x n matrix."""
-        n = self.n
-        out = np.zeros((n, n))
-        k = 0
-        for i in range(n - 1):
-            m = n - 1 - i
-            out[i, i + 1 :] = out[i + 1 :, i] = self.condensed[k : k + m]
-            k += m
+        upper = np.triu_indices(self.n, 1)
+        out = np.zeros((self.n, self.n))
+        out[upper] = out.T[upper] = self.condensed
         return out
 
     @staticmethod
@@ -106,10 +102,7 @@ class DissimilarityMatrix:
             raise ValidationError("dissimilarity matrix is not symmetric")
         if np.any(np.diag(values) != 0):
             raise ValidationError("dissimilarity matrix diagonal must be zero")
-        condensed = np.concatenate(
-            [values[i, i + 1 :] for i in range(n - 1)]
-        ) if n > 1 else np.empty(0)
-        return DissimilarityMatrix(condensed, tuple(ids), measure, method)
+        return DissimilarityMatrix(values[np.triu_indices(n, 1)], tuple(ids), measure, method)
 
 
 class _RowError(ValidationError):
@@ -260,36 +253,6 @@ def poisson_pair_dissimilarity(
     block = _poisson_block(pair, beta, terms)
     block(0, 1, 2, np.empty((_POISSON_BUFFERS, 1, x1.size)), out)
     return float(out[0])
-
-
-def multinomial_lrt(x_i, x_iprime) -> float:
-    """Log likelihood ratio for equal multinomial cell probabilities.
-
-    Conditional on the two totals, the pair of count vectors is multinomial;
-    this statistic tests whether both share one probability vector. It
-    coincides with the Poisson pair dissimilarity under total-count factors
-    and maximum-likelihood plug-ins, which is what the test suite checks.
-    """
-    x1 = np.asarray(x_i, dtype=np.float64)
-    x2 = np.asarray(x_iprime, dtype=np.float64)
-    if x1.shape != x2.shape or x1.ndim != 1:
-        raise ValidationError("pair must be two vectors of equal length")
-    t1, t2 = float(x1.sum()), float(x2.sum())
-    if t1 <= 0 or t2 <= 0:
-        raise ValidationError("zero total count in pair")
-
-    def xlx(v: np.ndarray) -> float:
-        mask = v > 0
-        return float((v[mask] * np.log(v[mask])).sum())
-
-    return (
-        xlx(x1)
-        + xlx(x2)
-        - xlx(x1 + x2)
-        + (t1 + t2) * np.log(t1 + t2)
-        - t1 * np.log(t1)
-        - t2 * np.log(t2)
-    )
 
 
 def _pairwise(values: np.ndarray, ids, block_fn, buffers: int, threads: int | None) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
     canonical_method,
-    estimate_test_size_factor,
+    estimate_test_size_factors,
     size_factors_of,
 )
 from .transform import calibrate
@@ -32,10 +32,10 @@ from .transform import calibrate
 PRIOR_MODES = ("uniform", "empirical")
 
 
-def soft_threshold(x, t):
-    """sign(x) * max(|x| - t, 0), elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+def _check_rho(rho) -> None:
+    """Reject any rho (a value or a grid) that is negative, infinite or NaN."""
+    if not np.all((np.asarray(rho) >= 0) & np.isfinite(rho)):
+        raise ValidationError("rho must be finite and nonnegative")
 
 
 def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
@@ -44,8 +44,8 @@ def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     Equal bit for bit to the three-branch form ``ratio - thr`` where
     ``ratio - 1 > thr``, ``ratio + thr`` where ``1 - ratio > thr`` and 1
     elsewhere, so rho = 0 returns a/b bitwise (subtracting a zero threshold
-    is exact) rather than the algebraically equal
-    1 + soft_threshold(a/b - 1, 0), which reassociates the arithmetic.
+    is exact) rather than the algebraically equal soft-thresholded form
+    1 + sign(a/b - 1) * max(|a/b - 1| - 0, 0), which reassociates the arithmetic.
     """
     return _ratio_shrinker(a, b)(rho)[0].copy()
 
@@ -128,8 +128,7 @@ class PldaModel:
             raise ValidationError("priors must be K values summing to 1")
         if self.beta <= 0:
             raise ValidationError("beta must be positive")
-        if self.rho < 0:
-            raise ValidationError("rho must be nonnegative")
+        _check_rho(self.rho)
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
         if len(self.class_names) != K:
@@ -196,9 +195,14 @@ class PldaModel:
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """Predicted class with per-class scores and normalized posterior."""
+    """Predicted class with per-class scores and normalized posterior.
 
-    class_index: int
+    From :func:`predict` the fields describe one observation: an int class
+    index and two length-K vectors. From :func:`predict_matrix` each field
+    has a leading row axis: m class indices and two m x K arrays.
+    """
+
+    class_index: int | np.ndarray
     scores: np.ndarray
     posterior: np.ndarray
 
@@ -307,14 +311,35 @@ def fit(
     per-class rate ratios are then estimated on the (possibly transformed)
     matrix, and ratios are shrunk toward 1 by ``rho``.
     """
-    if rho < 0:
-        raise ValidationError("rho must be nonnegative")
+    _check_rho(rho)
     return _model_from_stats(_fit_stats(data, method, beta, prior_mode, transform), rho)
 
 
 def _score_rows(rows, s_stars, log_d, offsets, log_priors) -> np.ndarray:
-    """Class scores for already-transformed rows; one row per observation."""
-    return rows @ log_d.T - np.outer(s_stars, offsets) + log_priors
+    """Class scores for already-transformed rows; one row per observation.
+
+    Each ``rows[i] . log_d[k]`` is one dot product of those two vectors, so a
+    row's scores are the same bits in any batch. A matrix product would
+    block its sums by the batch's shape and change them in the last bit.
+    """
+    return np.vecdot(rows[:, None, :], log_d[None]) - np.outer(s_stars, offsets) + log_priors
+
+
+def _predict_rows(model: PldaModel, rows: np.ndarray, s_stars=None, sample_ids=None) -> Prediction:
+    """Classify validated raw rows in one batch; ties go to the lowest class index."""
+    if model.alpha != 1.0:
+        rows = rows**model.alpha
+    if s_stars is None:
+        if model.size_factors is None:
+            raise ValidationError("model carries no size-factor statistics; pass s_star")
+        s_stars = estimate_test_size_factors(model.size_factors, rows, sample_ids)
+    scores = _score_rows(rows, s_stars, model._log_d, model._offsets, model._log_priors)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return Prediction(
+        class_index=np.argmax(scores, axis=1) + 1,
+        scores=scores,
+        posterior=weights / weights.sum(axis=1, keepdims=True),
+    )
 
 
 def predict(model: PldaModel, x_star, s_star: float | None = None) -> Prediction:
@@ -330,38 +355,25 @@ def predict(model: PldaModel, x_star, s_star: float | None = None) -> Prediction
         raise ValidationError(f"observation has {x.size} features, model expects {model.p}")
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValidationError("observation must be finite and nonnegative")
-    if model.alpha != 1.0:
-        x = x**model.alpha
-    if s_star is None:
-        if model.size_factors is None:
-            raise ValidationError("model carries no size-factor statistics; pass s_star")
-        s_star = estimate_test_size_factor(model.size_factors, x)
-    if s_star <= 0:
+    if s_star is not None and s_star <= 0:
         raise ValidationError("s_star must be positive")
-    scores = _score_rows(
-        x[None, :], np.array([float(s_star)]), model._log_d, model._offsets, model._log_priors
-    )[0]
-    shifted = scores - scores.max()
-    weights = np.exp(shifted)
-    return Prediction(
-        class_index=int(np.argmax(scores)) + 1,
-        scores=scores,
-        posterior=weights / weights.sum(),
-    )
+    s_stars = None if s_star is None else np.array([float(s_star)])
+    batch = _predict_rows(model, x[None, :], s_stars)
+    return Prediction(int(batch.class_index[0]), batch.scores[0], batch.posterior[0])
 
 
-def predict_matrix(model: PldaModel, matrix: CountMatrix) -> list[Prediction]:
-    """Classify every row of a count matrix.
+def predict_matrix(model: PldaModel, matrix: CountMatrix) -> Prediction:
+    """Classify every row of a count matrix in one batch.
 
     Feature ids are checked against the model's when both sides carry them.
+    Row i of each field equals ``predict(model, matrix.values[i])`` bit for
+    bit, and an error names the sample it concerns.
     """
+    if matrix.p != model.p:
+        raise ValidationError(f"matrix has {matrix.p} features, model expects {model.p}")
     if model.feature_ids and matrix.feature_ids != model.feature_ids:
-        if matrix.p != model.p:
-            raise ValidationError(
-                f"matrix has {matrix.p} features, model expects {model.p}"
-            )
         raise ValidationError("matrix feature ids do not match the model's features")
-    return [predict(model, row) for row in matrix.values]
+    return _predict_rows(model, matrix.values, sample_ids=matrix.sample_ids)
 
 
 def shrinkage_upper_bound(stats: FitStats) -> float:
@@ -459,6 +471,7 @@ class CrossValidationResult:
 def _sweep_fold(
     train: FitStats,
     test_rows: np.ndarray,
+    test_ids: list[str],
     truth: np.ndarray,
     grid: np.ndarray,
     errors: np.ndarray,
@@ -466,10 +479,11 @@ def _sweep_fold(
 ) -> None:
     """Add one fold's held-out errors and active features at each rho to the totals.
 
-    ``test_rows`` are already transformed. The shrinker's workspaces live
-    only for this call, so no two folds hold them at once.
+    ``test_rows`` are already transformed, and ``test_ids`` name them in
+    errors. The shrinker's workspaces live only for this call, so no two
+    folds hold them at once.
     """
-    s_stars = np.array([estimate_test_size_factor(train.size_factors, row) for row in test_rows])
+    s_stars = estimate_test_size_factors(train.size_factors, test_rows, test_ids)
     shrunk = _ratio_shrinker(train.a, train.b)
     log_priors = np.log(train.priors)
     for r, rho in enumerate(grid):
@@ -501,8 +515,7 @@ def cross_validate(
         grid = np.asarray(sorted(float(r) for r in rho_grid), dtype=np.float64)
         if grid.size == 0:
             raise ValidationError("rho grid must be nonempty")
-        if grid[0] < 0:
-            raise ValidationError("rho values must be nonnegative")
+        _check_rho(grid)
     stats = _fit_stats(data, method, beta, prior_mode, transform)
     if rho_grid is None:
         grid = _rho_grid(stats)
@@ -519,7 +532,8 @@ def cross_validate(
         fold_alphas.append(train.alpha)
         test_raw = data.matrix.values[test_idx]
         test_rows = test_raw if train.alpha == 1.0 else test_raw**train.alpha
-        _sweep_fold(train, test_rows, data.labels[test_idx], grid, errors, nonzero)
+        test_ids = [data.matrix.sample_ids[i] for i in test_idx]
+        _sweep_fold(train, test_rows, test_ids, data.labels[test_idx], grid, errors, nonzero)
     nonzero /= effective
     best = int(np.argmin(errors))
     selected = float(grid[best])

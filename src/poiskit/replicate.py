@@ -70,8 +70,8 @@ def replicate_classification(
             transform=transform,
             beta=beta,
         )
-        predictions = [p.class_index for p in predict_matrix(cv.model, test.data.matrix)]
-        test_errors[r] = int((np.asarray(predictions) != test.data.labels).sum())
+        predicted = predict_matrix(cv.model, test.data.matrix).class_index
+        test_errors[r] = int((predicted != test.data.labels).sum())
         nonzero[r] = cv.model.nonzero_features()
         selected[r] = cv.selected_rho
     return {

@@ -22,6 +22,15 @@ from .count_matrix import CountMatrix, LabeledDataset
 from .errors import ValidationError
 
 
+def _check_dispersion(phi: float) -> None:
+    """Reject a phi that the gamma-Poisson draw cannot use: negative, NaN, or
+    so small that its reciprocal, the gamma shape, overflows."""
+    if not phi >= 0:
+        raise ValidationError("dispersion phi must be nonnegative")
+    if phi > 0 and not np.isfinite(1.0 / phi):
+        raise ValidationError(f"dispersion phi={phi!r} is too small: 1/phi overflows")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     n: int
@@ -37,8 +46,7 @@ class SimulationConfig:
             raise ValidationError("n, p, and K must be positive")
         if self.n < self.K:
             raise ValidationError("need at least one sample per class (n >= K)")
-        if self.phi < 0:
-            raise ValidationError("dispersion phi must be nonnegative")
+        _check_dispersion(self.phi)
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
         if not 0 <= self.de_prob <= 1:
@@ -65,8 +73,7 @@ class SimulatedDataset:
 def draw_negative_binomial(rng: np.random.Generator, mean, dispersion: float):
     """Counts with the stated mean and variance mean + mean^2 * dispersion."""
     mean = np.asarray(mean, dtype=np.float64)
-    if dispersion < 0:
-        raise ValidationError("dispersion must be nonnegative")
+    _check_dispersion(dispersion)
     if dispersion == 0:
         return rng.poisson(mean)
     lam = rng.gamma(shape=1.0 / dispersion, scale=mean * dispersion)

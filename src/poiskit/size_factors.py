@@ -83,21 +83,6 @@ class SizeFactors:
         return SizeFactors(np.asarray(obj["values"]), obj["method"], aux)
 
 
-def estimate_total_count(matrix: CountMatrix) -> SizeFactors:
-    """Row totals over the grand total."""
-    return _total_count(matrix.values, matrix.sample_ids)
-
-
-def estimate_median_ratio(matrix: CountMatrix) -> SizeFactors:
-    """Median ratio to per-feature geometric means, zero-containing features excluded."""
-    return _median_ratio(matrix.values, matrix.sample_ids)
-
-
-def estimate_quantile(matrix: CountMatrix) -> SizeFactors:
-    """75th percentile of each sample's counts, normalized."""
-    return _quantile(matrix.values, matrix.sample_ids)
-
-
 def _total_count(values: np.ndarray, sample_ids) -> SizeFactors:
     sums = values.sum(axis=1)
     zero = np.flatnonzero(sums <= 0)
@@ -170,36 +155,53 @@ def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
     return _ESTIMATORS[canonical_method(method)](values, sample_ids)
 
 
-def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:
-    """Extend training size factors to a new observation.
+_ZERO_STATISTIC = {
+    "total-count": "zero total count",
+    "quantile": "zero 75th percentile",
+    "median-ratio": "zero median ratio",
+}
 
-    Applies the training estimator's defining statistic to ``x_star`` and
+
+def estimate_test_size_factors(
+    factors: SizeFactors, rows: np.ndarray, sample_ids=None
+) -> np.ndarray:
+    """Extend training size factors to new observations, one per row of ``rows``.
+
+    Applies the training estimator's defining statistic to each row and
     scales it by the training normalizer, so a test observation equal to
     training row i receives that row's (unnormalized-consistent) factor.
+    Row i's factor is the same bits as ``estimate_test_size_factor`` of
+    that row alone. ``sample_ids`` name the rows in error messages, which
+    otherwise give the row index.
     """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim != 1 or x_star.size != factors.aux["p"]:
-        raise ValidationError(
-            f"test observation has {x_star.size} features, expected {factors.aux['p']}"
-        )
-    if not np.all(np.isfinite(x_star)) or np.any(x_star < 0):
-        raise ValidationError("test observation must be finite and nonnegative")
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    p = factors.aux["p"]
+    if rows.ndim != 2 or rows.shape[1] != p:
+        raise ValidationError(f"test observations have {rows.shape[-1]} features, expected {p}")
+    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+        raise ValidationError("test observations must be finite and nonnegative")
     if factors.method == "total-count":
-        total = float(x_star.sum())
-        if total <= 0:
-            raise ValidationError("test observation has zero total count")
-        return total / factors.aux["grand_total"]
-    if factors.method == "quantile":
-        q_star = float(np.percentile(x_star, 75))
-        if q_star <= 0:
-            raise ValidationError("test observation has zero 75th percentile")
-        return q_star / factors.aux["q_sum"]
-    usable = factors.aux["usable"]
-    gm = factors.aux["geometric_means"][usable]
-    m_star = float(np.median(x_star[usable] / gm))
-    if m_star <= 0:
-        raise ValidationError("test observation has zero median ratio")
-    return m_star / factors.aux["m_sum"]
+        stats, normalizer = rows.sum(axis=1), factors.aux["grand_total"]
+    elif factors.method == "quantile":
+        stats, normalizer = np.percentile(rows, 75, axis=1), factors.aux["q_sum"]
+    else:
+        usable = factors.aux["usable"]
+        gm = factors.aux["geometric_means"][usable]
+        stats, normalizer = np.median(rows[:, usable] / gm, axis=1), factors.aux["m_sum"]
+    zero = np.flatnonzero(stats <= 0)
+    if zero.size:
+        i = int(zero[0])
+        name = i if sample_ids is None else repr(sample_ids[i])
+        raise ValidationError(f"{_ZERO_STATISTIC[factors.method]} in test observation {name}")
+    return stats / normalizer
+
+
+def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:
+    """:func:`estimate_test_size_factors` of one observation."""
+    x_star = np.asarray(x_star, dtype=np.float64)
+    if x_star.ndim != 1:
+        raise ValidationError("test observation must be a vector")
+    return float(estimate_test_size_factors(factors, x_star[None, :])[0])
 
 
 def write_size_factors(path, sample_ids, factors: SizeFactors) -> None:

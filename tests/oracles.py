@@ -13,8 +13,43 @@ import math
 import numpy as np
 
 from poiskit.count_matrix import CountMatrix, LabeledDataset
-from poiskit.plda import PldaModel, _fit_stats, default_rho_grid, stratified_folds
-from poiskit.size_factors import estimate_test_size_factor
+from poiskit.plda import PldaModel, _fit_stats, default_rho_grid, predict, stratified_folds
+
+
+def soft_threshold(x, t):
+    """sign(x) * max(|x| - t, 0), elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def multinomial_lrt(x_i, x_iprime) -> float:
+    """Log likelihood ratio for equal multinomial cell probabilities.
+
+    Conditional on the two totals, the pair of count vectors is multinomial;
+    this statistic tests whether both share one probability vector. It
+    coincides with the Poisson pair dissimilarity under total-count factors
+    and maximum-likelihood plug-ins, which is what criterion 6 checks.
+    """
+    x1 = np.asarray(x_i, dtype=np.float64)
+    x2 = np.asarray(x_iprime, dtype=np.float64)
+    if x1.shape != x2.shape or x1.ndim != 1:
+        raise ValueError("pair must be two vectors of equal length")
+    t1, t2 = float(x1.sum()), float(x2.sum())
+    if t1 <= 0 or t2 <= 0:
+        raise ValueError("zero total count in pair")
+
+    def xlx(v: np.ndarray) -> float:
+        mask = v > 0
+        return float((v[mask] * np.log(v[mask])).sum())
+
+    return (
+        xlx(x1)
+        + xlx(x2)
+        - xlx(x1 + x2)
+        + (t1 + t2) * np.log(t1 + t2)
+        - t1 * np.log(t1)
+        - t2 * np.log(t2)
+    )
 
 
 def scalar_percentile75(values):
@@ -157,11 +192,12 @@ def pairwise_cer(a, b):
 
 def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, transform, beta):
     """Cross-validation as one validated fold dataset and one ``PldaModel``
-    per fold and rho value, scored in one batch per model.
+    per fold and rho value, each held-out raw row classified by ``predict``.
 
     It pins the array-level fold loop of ``cross_validate`` bit for bit to
-    this container-level loop. Returns ``(rho_grid, errors,
-    nonzero_features, selected_rho, folds)``.
+    this container-level loop and its held-out decisions to the public
+    prediction path. Returns ``(rho_grid, errors, nonzero_features,
+    selected_rho, folds)``.
     """
     if rho_grid is None:
         grid = default_rho_grid(data, method, beta, transform)
@@ -185,11 +221,7 @@ def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, tran
         )
         stats = _fit_stats(train, method, beta, prior_mode, transform)
         test_raw = data.matrix.values[test_idx]
-        test_rows = test_raw if stats.alpha == 1.0 else test_raw**stats.alpha
         truth = data.labels[test_idx]
-        s_stars = np.array(
-            [estimate_test_size_factor(stats.size_factors, row) for row in test_rows]
-        )
         for r, rho in enumerate(grid):
             ratio = stats.a / stats.b
             dev = ratio - 1.0
@@ -206,12 +238,7 @@ def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, tran
                 class_names=stats.class_names,
                 feature_ids=stats.feature_ids,
             )
-            scores = (
-                test_rows @ model._log_d.T
-                - np.outer(s_stars, model._offsets)
-                + model._log_priors
-            )
-            predicted = np.argmax(scores, axis=1) + 1
+            predicted = np.array([predict(model, row).class_index for row in test_raw])
             errors[r] += int((predicted != truth).sum())
             nonzero[r] += int(np.any(model.d_hat != 1.0, axis=0).sum())
     nonzero /= effective

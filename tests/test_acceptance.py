@@ -2,8 +2,7 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them all).
 The replication tests run the full-size configuration (p = 10,000); the
-same harnesses are exposed as scripts in scripts/ together with a reduced
-configuration for slower machines.
+same harnesses run with any settings through ``poiskit replicate``.
 """
 
 import time
@@ -14,6 +13,7 @@ import pytest
 
 from oracles import (
     grid_bayes_posterior,
+    multinomial_lrt,
     naive_complete_linkage,
     scalar_pair_dissimilarity,
     scalar_plda_scores,
@@ -23,7 +23,6 @@ from poiskit.clustering import cer, complete_linkage
 from poiskit.count_matrix import CountMatrix, LabeledDataset, Partition
 from poiskit.dissimilarity import (
     DissimilarityMatrix,
-    multinomial_lrt,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
 )

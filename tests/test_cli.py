@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poiskit.cli import main
-from poiskit.count_matrix import read_count_matrix
+from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
 
 
 def run(*argv):
@@ -48,11 +48,14 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert (a / "labels.tsv").read_bytes() == (b / "labels.tsv").read_bytes()
 
 
-def test_simulate_rejects_negative_phi(tmp_path):
-    assert run(
-        "simulate", "--n", 4, "--p", 10, "--k", 2, "--phi", -1,
-        "--sigma", 0.1, "--seed", 1, "--out-dir", tmp_path / "x",
-    ) == 2
+def test_simulate_rejects_negative_phi(tmp_path, capsys):
+    # and a positive phi so small that 1/phi, the gamma shape, overflows
+    for phi in (-1, 2.2e-313):
+        assert run(
+            "simulate", "--n", 4, "--p", 10, "--k", 2, "--phi", phi,
+            "--sigma", 0.1, "--seed", 1, "--out-dir", tmp_path / "x",
+        ) == 2
+        assert "phi" in capsys.readouterr().err
 
 
 def test_missing_required_arg_exits_2(tmp_path, capsys):
@@ -134,6 +137,41 @@ def test_predict_wrong_feature_count(sim_dir, tmp_path):
     assert run(
         "predict", "--counts", small, "--model", train_dir / "model.json",
         "--out-dir", tmp_path / "p2",
+    ) == 2
+
+
+def test_predict_all_zero_row_names_sample(sim_dir, tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    assert run(
+        "train", "--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv",
+        "--out-dir", train_dir,
+    ) == 0
+    counts = read_count_matrix(sim_dir / "counts.tsv")
+    values = counts.values.copy()
+    values[4] = 0.0
+    zeroed = tmp_path / "zeroed.tsv"
+    write_count_matrix(CountMatrix(values, counts.sample_ids, counts.feature_ids), zeroed)
+    assert run(
+        "predict", "--counts", zeroed, "--model", train_dir / "model.json",
+        "--out-dir", tmp_path / "p",
+    ) == 2
+    assert "zero total count in test observation 's5'" in capsys.readouterr().err
+
+
+def test_non_finite_rho_exits_2(sim_dir, tmp_path):
+    inputs = ["--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv"]
+    assert run("train", *inputs, "--rho", "nan", "--out-dir", tmp_path / "t") == 2
+    for grid in ("0,nan", "inf"):
+        assert run("cv", *inputs, "--rho-grid", grid, "--out-dir", tmp_path / "cv") == 2
+    assert run("train", *inputs, "--out-dir", tmp_path / "ok") == 0
+    model = json.loads((tmp_path / "ok" / "model.json").read_text())
+    model["rho"] = float("nan")
+    broken = tmp_path / "nan_rho.json"
+    broken.write_text(json.dumps(model), encoding="utf-8")
+    assert '"rho": NaN' in broken.read_text()
+    assert run(
+        "predict", "--counts", sim_dir / "counts.tsv", "--model", broken,
+        "--out-dir", tmp_path / "p",
     ) == 2
 
 

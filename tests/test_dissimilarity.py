@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import scalar_pair_dissimilarity
+from oracles import multinomial_lrt, scalar_pair_dissimilarity
 
 from poiskit import cli, dissimilarity
 from poiskit.count_matrix import CountMatrix, write_count_matrix
@@ -19,7 +19,6 @@ from poiskit.dissimilarity import (
     DissimilarityMatrix,
     condensed_index,
     feature_dissimilarity_matrix,
-    multinomial_lrt,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
     read_dissimilarity,

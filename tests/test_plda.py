@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_rho_cross_validate, scalar_plda_scores
+from oracles import per_rho_cross_validate, scalar_plda_scores, soft_threshold
 
 from poiskit.count_matrix import CountMatrix, LabeledDataset
 from poiskit.errors import ValidationError
@@ -17,13 +17,14 @@ from poiskit.transform import calibrate
 from poiskit.plda import (
     PldaModel,
     _ratio_shrinker,
+    _score_rows,
     cross_validate,
     default_rho_grid,
     fit,
     predict,
+    predict_matrix,
     read_model,
     shrunken_ratios,
-    soft_threshold,
     stratified_folds,
     write_model,
 )
@@ -113,8 +114,13 @@ def test_beta_validation():
     data = random_dataset(2)
     with pytest.raises(ValidationError):
         fit(data, beta=0.0)
-    with pytest.raises(ValidationError):
-        fit(data, rho=-1.0)
+    for rho in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="rho"):
+            fit(data, rho=rho)
+        with pytest.raises(ValidationError, match="rho"):
+            cross_validate(data, rho_grid=[0.0, rho], folds=3)
+        with pytest.raises(ValidationError, match="rho"):
+            injected_model(g=[1.0], d=[[2.0], [0.5]], priors=[0.5, 0.5], rho=rho)
 
 
 def test_empirical_priors():
@@ -225,6 +231,38 @@ def test_predict_applies_transform_exponent():
     assert np.array_equal(manual.scores, direct.scores)
 
 
+@pytest.mark.parametrize(
+    "m, K, p", [(1, 2, 7), (3, 3, 1_001), (12, 4, 10_000), (600, 3, 10_000), (600, 2, 7)]
+)
+@pytest.mark.parametrize("unaligned", [False, True])
+def test_score_rows_batch_independent(m, K, p, unaligned):
+    rng = np.random.default_rng(m * K + p)
+    rows = rng.poisson(20.0, (m, p + 1)).astype(float)
+    # a view starting one element in: rows and their start addresses shift by 8 bytes
+    rows = rows[:, 1:] if unaligned else np.ascontiguousarray(rows[:, :p])
+    log_d = np.log(rng.random((K, p)) + 0.5)
+    s_stars = rng.random(m) + 0.1
+    offsets, log_priors = rng.random(K) * 1e4, np.log(np.full(K, 1.0 / K))
+    batch = _score_rows(rows, s_stars, log_d, offsets, log_priors)
+    for i in range(m):
+        one = _score_rows(rows[i : i + 1], s_stars[i : i + 1], log_d, offsets, log_priors)
+        assert np.array_equal(batch[i], one[0]), i
+
+
+@pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
+def test_predict_matrix_rows_equal_predict(method):
+    data = random_dataset(18, n=15, p=400)
+    model = fit(data, method=method, rho=0.3, transform=True)
+    assert model.alpha < 1.0
+    batch = predict_matrix(model, data.matrix)
+    assert batch.class_index.shape == (15,) and batch.posterior.shape == (15, 3)
+    for i, x in enumerate(data.matrix.values):
+        one = predict(model, x)
+        assert one.class_index == batch.class_index[i]
+        assert np.array_equal(one.scores, batch.scores[i])
+        assert np.array_equal(one.posterior, batch.posterior[i])
+
+
 # --- shrunken ratio kernel ---
 
 def test_shrunken_ratios_zero_rho_is_exact_division():
@@ -309,6 +347,16 @@ def test_cv_empty_grid_rejected():
     data = random_dataset(15)
     with pytest.raises(ValidationError):
         cross_validate(data, rho_grid=[], folds=3)
+
+
+def test_cv_names_held_out_sample_with_zero_median_ratio():
+    # s0 is zero on six of nine features: outside the full-data median-ratio
+    # features, but inside those of the folds that hold s0 out
+    values = np.random.default_rng(0).poisson(5, (6, 9)).astype(float) + 1
+    values[0, :6] = 0
+    data = make_dataset(values, [1, 2, 1, 2, 1, 2])
+    with pytest.raises(ValidationError, match=r"^zero median ratio in test observation 's0'$"):
+        cross_validate(data, method="median-ratio", rho_grid=[0.0], folds=2, transform=False)
 
 
 def test_default_rho_grid_spans_to_full_shrinkage():

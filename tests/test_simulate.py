@@ -106,3 +106,7 @@ def test_config_validation():
         SimulationConfig(n=6, p=10, K=3, phi=0.1, sigma=0.0)
     with pytest.raises(ValidationError):
         SimulationConfig(n=6, p=10, K=3, phi=0.1, sigma=0.1, de_prob=1.5)
+    with pytest.raises(ValidationError, match="phi"):
+        SimulationConfig(n=6, p=10, K=3, phi=2.2e-313, sigma=0.1)
+    with pytest.raises(ValidationError, match="phi"):
+        draw_negative_binomial(np.random.default_rng(0), np.ones(3), 2.2e-313)

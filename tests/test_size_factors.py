@@ -9,11 +9,9 @@ from poiskit.count_matrix import CountMatrix
 from poiskit.errors import ValidationError
 from poiskit.size_factors import (
     canonical_method,
-    estimate_median_ratio,
-    estimate_quantile,
     estimate_size_factors,
     estimate_test_size_factor,
-    estimate_total_count,
+    estimate_test_size_factors,
 )
 
 
@@ -26,32 +24,36 @@ def matrix(rows):
 # --- total count ---
 
 def test_total_count_examples():
-    assert np.allclose(estimate_total_count(matrix([[4, 6], [10, 20]])).values, [0.25, 0.75])
-    assert np.allclose(estimate_total_count(matrix([[1, 2], [1, 2]])).values, [0.5, 0.5])
-    assert np.allclose(estimate_total_count(matrix([[1, 1], [1, 3]])).values, [1 / 3, 2 / 3])
+    sf = estimate_size_factors(matrix([[4, 6], [10, 20]]), "total-count")
+    assert np.allclose(sf.values, [0.25, 0.75])
+    sf = estimate_size_factors(matrix([[1, 2], [1, 2]]), "total-count")
+    assert np.allclose(sf.values, [0.5, 0.5])
+    sf = estimate_size_factors(matrix([[1, 1], [1, 3]]), "total-count")
+    assert np.allclose(sf.values, [1 / 3, 2 / 3])
 
 
 def test_total_count_zero_row_names_sample():
     with pytest.raises(ValidationError, match="s1"):
-        estimate_total_count(matrix([[1, 2], [0, 0]]))
+        estimate_size_factors(matrix([[1, 2], [0, 0]]), "total-count")
 
 
 # --- median ratio ---
 
 def test_median_ratio_identical_rows():
-    assert np.allclose(estimate_median_ratio(matrix([[3, 7, 2], [3, 7, 2]])).values, [0.5, 0.5])
+    sf = estimate_size_factors(matrix([[3, 7, 2], [3, 7, 2]]), "median-ratio")
+    assert np.allclose(sf.values, [0.5, 0.5])
 
 
 def test_median_ratio_even_count_uses_middle_mean():
     # geometric means (4, 4); row ratios (0.5, 2) and (2, 0.5); the median
     # of two values is their mean, 1.25 for both rows
-    sf = estimate_median_ratio(matrix([[2, 8], [8, 2]]))
+    sf = estimate_size_factors(matrix([[2, 8], [8, 2]]), "median-ratio")
     assert np.allclose(sf.values, [0.5, 0.5])
     assert np.allclose(sf.aux["m"], [1.25, 1.25])
 
 
 def test_median_ratio_excludes_features_with_zeros():
-    sf = estimate_median_ratio(matrix([[1, 0], [2, 4]]))
+    sf = estimate_size_factors(matrix([[1, 0], [2, 4]]), "median-ratio")
     assert np.allclose(sf.values, [1 / 3, 2 / 3])
     assert list(sf.aux["usable"]) == [True, False]
     assert np.allclose(sf.aux["m"], [1 / np.sqrt(2), 2 / np.sqrt(2)])
@@ -59,26 +61,30 @@ def test_median_ratio_excludes_features_with_zeros():
 
 def test_median_ratio_no_usable_feature():
     with pytest.raises(ValidationError, match="median-ratio"):
-        estimate_median_ratio(matrix([[1, 0], [0, 4]]))
+        estimate_size_factors(matrix([[1, 0], [0, 4]]), "median-ratio")
 
 
 # --- quantile ---
 
 def test_quantile_examples():
-    assert np.allclose(estimate_quantile(matrix([[5, 5], [5, 5]])).values, [0.5, 0.5])
-    sf = estimate_quantile(matrix([[1, 2, 3, 4], [2, 4, 6, 8]]))
+    sf = estimate_size_factors(matrix([[5, 5], [5, 5]]), "quantile")
+    assert np.allclose(sf.values, [0.5, 0.5])
+    sf = estimate_size_factors(matrix([[1, 2, 3, 4], [2, 4, 6, 8]]), "quantile")
     assert np.allclose(sf.aux["q"], [3.25, 6.5])
     assert np.allclose(sf.values, [1 / 3, 2 / 3])
 
 
 def test_quantile_single_feature_reduces_to_total_count():
     m = matrix([[2], [6]])
-    assert np.allclose(estimate_quantile(m).values, estimate_total_count(m).values)
+    assert np.allclose(
+        estimate_size_factors(m, "quantile").values,
+        estimate_size_factors(m, "total-count").values,
+    )
 
 
 def test_quantile_zero_percentile_names_sample():
     with pytest.raises(ValidationError, match="s0"):
-        estimate_quantile(matrix([[0, 0, 0, 0, 1], [1, 1, 1, 1, 1]]))
+        estimate_size_factors(matrix([[0, 0, 0, 0, 1], [1, 1, 1, 1, 1]]), "quantile")
 
 
 # --- shared properties ---
@@ -110,8 +116,8 @@ def test_total_count_row_scaling_linearity():
     values = rng.random((4, 6)) * 20 + 1
     scaled = values.copy()
     scaled[2] *= 3.0
-    base = estimate_total_count(matrix(values)).values
-    after = estimate_total_count(matrix(scaled)).values
+    base = estimate_size_factors(matrix(values), "total-count").values
+    after = estimate_size_factors(matrix(scaled), "total-count").values
     # unnormalized row statistic scales by c: ratios against row 0 show it
     assert after[2] / after[0] == pytest.approx(3.0 * base[2] / base[0], rel=1e-12)
 
@@ -120,14 +126,14 @@ def test_total_count_row_scaling_linearity():
 
 def test_test_factor_total_count_consistency():
     m = matrix([[1, 2, 3], [4, 5, 6]])
-    sf = estimate_total_count(m)
+    sf = estimate_size_factors(m, "total-count")
     assert estimate_test_size_factor(sf, m.values[0]) == sf.values[0]
     assert estimate_test_size_factor(sf, 2 * m.values[0]) == 2 * sf.values[0]
 
 
 def test_test_factor_median_ratio_consistency():
     m = matrix([[2, 8, 5], [8, 2, 5]])
-    sf = estimate_median_ratio(m)
+    sf = estimate_size_factors(m, "median-ratio")
     assert estimate_test_size_factor(sf, m.values[0]) == pytest.approx(
         sf.values[0], rel=0, abs=0
     )
@@ -135,7 +141,7 @@ def test_test_factor_median_ratio_consistency():
 
 def test_test_factor_quantile_consistency():
     m = matrix([[1, 2, 3, 4], [2, 4, 6, 8]])
-    sf = estimate_quantile(m)
+    sf = estimate_size_factors(m, "quantile")
     assert estimate_test_size_factor(sf, m.values[1]) == sf.values[1]
 
 
@@ -143,21 +149,42 @@ def test_median_scale_equivariance_on_test_path():
     # odd usable count makes the median a single order statistic, so
     # scaling the observation scales the statistic exactly
     m = matrix([[2, 8, 5], [8, 2, 5]])
-    sf = estimate_median_ratio(m)
+    sf = estimate_size_factors(m, "median-ratio")
     x = np.array([3.0, 4.0, 5.0])
     assert estimate_test_size_factor(sf, 2 * x) == 2 * estimate_test_size_factor(sf, x)
 
 
+@pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_test_factors_array_equals_scalar(method, seed):
+    rng = np.random.default_rng(seed)
+    n, m, p = rng.integers(2, 7), rng.integers(1, 20), rng.integers(1, 60)
+    train = rng.poisson(8.0, (n, p)).astype(float) + (rng.random((n, p)) < 0.8)
+    train[:, 0] += 1.0  # median-ratio needs one feature positive in every sample
+    sf = estimate_size_factors(matrix(train), method)
+    rows = rng.poisson(8.0, (m, p)) + rng.random((m, p)) * 3 + 0.5
+    batch = estimate_test_size_factors(sf, rows)
+    assert batch.shape == (m,)
+    for i, row in enumerate(rows):
+        assert batch[i] == estimate_test_size_factor(sf, row)
+
+
 def test_test_factor_error_cases():
     m = matrix([[1, 2], [3, 4]])
-    sf = estimate_total_count(m)
+    sf = estimate_size_factors(m, "total-count")
     with pytest.raises(ValidationError, match="zero total"):
         estimate_test_size_factor(sf, np.zeros(2))
     with pytest.raises(ValidationError, match="features"):
         estimate_test_size_factor(sf, np.ones(3))
-    qf = estimate_quantile(m)
+    qf = estimate_size_factors(m, "quantile")
     with pytest.raises(ValidationError, match="percentile"):
         estimate_test_size_factor(qf, np.array([0.0, 0.0]))
+    rows = np.array([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"^zero total count in test observation 1$"):
+        estimate_test_size_factors(sf, rows)
+    with pytest.raises(ValidationError, match=r"^zero total count in test observation 't2'$"):
+        estimate_test_size_factors(sf, rows, ("t1", "t2"))
 
 
 def test_canonical_method_aliases():
