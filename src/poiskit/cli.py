@@ -27,9 +27,9 @@ from .count_matrix import (
     first_appearance_index,
     format_number,
     read_count_matrix,
+    read_label_map,
     read_labels,
     read_partition,
-    read_two_column_tsv,
     write_count_matrix,
     write_labels,
     write_partition,
@@ -188,16 +188,13 @@ def cmd_predict(args, out_dir: Path):
     inputs = [Path(args.model), Path(args.counts)]
     extra = {"outputs": ["predictions.tsv"]}
     if args.labels:
-        by_id = dict(read_two_column_tsv(args.labels))
+        by_id = read_label_map(args.labels, matrix.sample_ids)
         index_of = {name: k + 1 for k, name in enumerate(model.class_names)}
-        truth = []
-        for sid in matrix.sample_ids:
-            if sid not in by_id:
-                raise ValidationError(f"no label for sample '{sid}'")
-            if by_id[sid] not in index_of:
-                raise ValidationError(f"unknown class '{by_id[sid]}' in labels")
-            truth.append(index_of[by_id[sid]])
-        extra["errors"] = int((predictions.class_index != np.array(truth)).sum())
+        unknown = [by_id[sid] for sid in matrix.sample_ids if by_id[sid] not in index_of]
+        if unknown:
+            raise ValidationError(f"unknown class '{unknown[0]}' in labels")
+        truth = np.array([index_of[by_id[sid]] for sid in matrix.sample_ids])
+        extra["errors"] = int((predictions.class_index != truth).sum())
         extra["n"] = matrix.n
         inputs.append(Path(args.labels))
     return inputs, extra
@@ -265,14 +262,9 @@ def cmd_cluster(args, out_dir: Path):
     if args.sweep:
         if not args.labels:
             raise ValidationError("--sweep needs a --labels reference file")
-        pairs = dict(read_two_column_tsv(args.labels))
-        for sid in dm.ids:
-            if sid not in pairs:
-                raise ValidationError(f"no reference label for sample '{sid}'")
-        index_of = first_appearance_index(pairs[sid] for sid in dm.ids)
-        reference = Partition(
-            np.array([index_of[pairs[sid]] for sid in dm.ids]), len(index_of)
-        )
+        by_id = read_label_map(args.labels, dm.ids)
+        index_of = first_appearance_index(by_id[sid] for sid in dm.ids)
+        reference = Partition(np.array([index_of[by_id[sid]] for sid in dm.ids]), len(index_of))
         sweep = [{"k": k, "cer": value} for k, value in cer_sweep(dendrogram, reference)]
         _write_json(out_dir / "sweep.json", sweep)
         extra["outputs"].append("sweep.json")
@@ -343,14 +335,18 @@ def _add_counts_options(parser):
     )
 
 
-def _add_fit_options(parser):
+def _add_model_options(parser):
     parser.add_argument(
         "--size-factors", default="total",
         choices=("total", "total-count", "quantile", "median-ratio"),
     )
     parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--priors", choices=("uniform", "empirical"), default="uniform")
     parser.add_argument("--transform", choices=("on", "off"), default="on")
+
+
+def _add_fit_options(parser):
+    _add_model_options(parser)
+    parser.add_argument("--priors", choices=("uniform", "empirical"), default="uniform")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,13 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     dis = commands.add_parser("dissim", help="pairwise dissimilarity matrix")
     _add_counts_options(dis)
     dis.add_argument("--measure", choices=("poisson", "sq-euclidean"), default="poisson")
-    dis.add_argument(
-        "--size-factors", default="total",
-        choices=("total", "total-count", "quantile", "median-ratio"),
-    )
     dis.add_argument("--axis", choices=("samples", "features"), default="samples")
-    dis.add_argument("--transform", choices=("on", "off"), default="on")
-    dis.add_argument("--beta", type=float, default=1.0)
+    _add_model_options(dis)
     dis.add_argument(
         "--threads", type=_thread_count, default=0, help="0 = POISKIT_THREADS or all cores"
     )
@@ -434,15 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--reps", type=int, required=True)
     rep.add_argument("--seed", type=int, required=True)
     rep.add_argument("--de-prob", type=float, default=0.3)
-    rep.add_argument(
-        "--size-factors", default="total",
-        choices=("total", "total-count", "quantile", "median-ratio"),
-    )
     rep.add_argument("--measure", choices=("poisson", "sq-euclidean"), default="poisson")
     rep.add_argument("--cut-k", type=int, default=None)
     rep.add_argument("--folds", type=int, default=5)
-    rep.add_argument("--transform", choices=("on", "off"), default="on")
-    rep.add_argument("--beta", type=float, default=1.0)
+    _add_model_options(rep)
     rep.add_argument("--threads", type=_thread_count, default=0)
     rep.set_defaults(func=cmd_replicate)
 

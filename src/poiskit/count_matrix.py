@@ -43,6 +43,13 @@ def format_row(row: np.ndarray) -> str:
     return "\t".join([_NUMBER_FORMAT] * row.size) % tuple(row.tolist())
 
 
+def json_number(obj: dict, key: str) -> float:
+    """``obj[key]`` of a parsed JSON object as a float; any other JSON type is an error."""
+    if type(obj[key]) not in (int, float):
+        raise ValidationError(f"{key} must be a number, got {obj[key]!r}")
+    return float(obj[key])
+
+
 def _check_unique(ids: tuple[str, ...], axis: str) -> None:
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
@@ -303,24 +310,31 @@ def write_two_column_tsv(path: str | Path, pairs) -> None:
             handle.write(f"{left}\t{right}\n")
 
 
+def read_label_map(path: str | Path, ids) -> dict[str, str]:
+    """A labels file as an id -> name dict, in file order.
+
+    No id may be labeled twice, and every id in ``ids`` must be labeled.
+    """
+    by_id: dict[str, str] = {}
+    for sid, cname in read_two_column_tsv(path):
+        if sid in by_id:
+            raise ValidationError(f"sample '{sid}' labeled more than once")
+        by_id[sid] = cname
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise ValidationError(f"no label for sample '{missing[0]}'")
+    return by_id
+
+
 def read_labels(path: str | Path, matrix: CountMatrix) -> LabeledDataset:
     """Attach a labels file to a matrix.
 
     Class names map to indices 1..K in order of first appearance in the
     file. Every sample in the matrix must be labeled exactly once.
     """
-    pairs = read_two_column_tsv(path)
-    by_id: dict[str, str] = {}
-    for sid, cname in pairs:
-        if sid in by_id:
-            raise ValidationError(f"sample '{sid}' labeled more than once")
-        by_id[sid] = cname
+    by_id = read_label_map(path, matrix.sample_ids)
     index_of = first_appearance_index(by_id.values())
-    labels = np.empty(matrix.n, dtype=np.int64)
-    for i, sid in enumerate(matrix.sample_ids):
-        if sid not in by_id:
-            raise ValidationError(f"no label for sample '{sid}'")
-        labels[i] = index_of[by_id[sid]]
+    labels = [index_of[by_id[sid]] for sid in matrix.sample_ids]
     return LabeledDataset(matrix, labels, K=len(index_of), class_names=tuple(index_of))
 
 

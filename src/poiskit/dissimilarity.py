@@ -21,8 +21,9 @@ by the vectorized kernel that also computes a single pair. Each thread
 allocates one workspace of tile-sized buffers and every kernel step writes
 into it, so a tile allocates nothing of its own size; terms that depend on
 one row only (totals, 75th percentiles, ``x + beta``) are taken once per
-matrix. Threads take whole rows, so they write disjoint slots and never
-change the result.
+matrix. Every pair's size-factor precondition is checked before the
+loop, so no tile can fail. Threads take whole rows, so they write
+disjoint slots and never change the result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ import numpy as np
 
 from .count_matrix import CountMatrix, format_row, parse_rows
 from .errors import ParseError, ValidationError
-from .size_factors import canonical_method, estimate_size_factors
+from .size_factors import (
+    canonical_method,
+    check_statistics,
+    estimate_size_factors,
+    first_ten,
+    row_statistic,
+)
 from .transform import find_alpha
 
 MEASURES = ("poisson", "sq-euclidean")
@@ -105,28 +112,38 @@ class DissimilarityMatrix:
         return DissimilarityMatrix(values[np.triu_indices(n, 1)], tuple(ids), measure, method)
 
 
-class _RowError(ValidationError):
-    """A pair precondition that fails at row ``row`` of a block."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
+def _check_beta(beta: float) -> None:
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise ValidationError("beta must be finite and nonnegative")
 
 
-_ZERO_ROW_TERM = {"total-count": "zero total count", "quantile": "zero 75th percentile"}
+def _pair_terms(values: np.ndarray, ids, method: str):
+    """The row statistics of the pairs' size factors, None under median-ratio.
 
-
-def _row_terms(values: np.ndarray, method: str):
-    """Each row's total (total-count) or 75th percentile (quantile); None for median-ratio.
-
-    A pair's size factors under these two methods are its two rows' terms
-    over their sum, so the terms are taken once per matrix, not per pair.
+    Raises one error naming every row whose statistic is zero or, under
+    median-ratio, every pair that shares no positive feature (the first in
+    row-major order leads), so that no pair in the loop can fail.
     """
-    if method == "total-count":
-        return values.sum(axis=1)
-    if method == "quantile":
-        return np.percentile(values, 75, axis=1)
-    return None
+    if method != "median-ratio":
+        terms = row_statistic(values, method)
+        check_statistics(terms, ids, method)
+        return terms
+    n = values.shape[0]
+    positive = (values > 0).astype(np.float32)
+    count, first = 0, []
+    step = max(1, (1 << 20) // n)  # rows per block of at most 4 MB of float32 products
+    for lo in range(0, n - 1, step):
+        # common[r, j] > 0 exactly when rows lo + r and j share a positive feature
+        common = positive[lo : lo + step] @ positive.T
+        rows, cols = np.nonzero(np.triu(common == 0, lo + 1))
+        count += rows.size
+        first += [f"('{ids[lo + r]}', '{ids[c]}')" for r, c in zip(rows[:10], cols[:10])]
+    if count:
+        raise ValidationError(
+            f"pair {first[0]}: no feature is positive in both observations; "
+            f"median-ratio is undefined for {count} of {n * (n - 1) // 2} pairs: "
+            + first_ten(first, count)
+        )
 
 
 def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
@@ -142,15 +159,9 @@ def _row_medians(ratios: np.ndarray, usable: np.ndarray) -> np.ndarray:
 
 def _median_ratio_factors(x: np.ndarray, Y: np.ndarray):
     """Pair-restricted median-ratio factors of ``x`` and of each row of ``Y``."""
-    # ratios to a positive geometric mean are positive, so are their medians
+    # every pair shares a positive feature (see _pair_terms), and ratios to a
+    # positive geometric mean are positive, so are their medians
     usable = (x > 0) & (Y > 0)
-    bad = ~usable.any(axis=1)
-    if bad.any():
-        raise _RowError(
-            "no feature is positive in both observations; "
-            "median-ratio is undefined for this pair",
-            int(np.argmax(bad)),
-        )
     X = np.broadcast_to(x, Y.shape)
     gm = np.exp(0.5 * (np.log(X[usable]) + np.log(Y[usable])))
     return _row_medians(X[usable] / gm, usable), _row_medians(Y[usable] / gm, usable)
@@ -172,7 +183,7 @@ def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray, out: np.ndarray) -> None:
 def _poisson_block(values: np.ndarray, beta: float, terms):
     """The Poisson kernel over the rows of ``values``, for :func:`_pairwise`.
 
-    ``terms`` holds :func:`_row_terms` of ``values``, all positive.
+    ``terms`` holds :func:`_pair_terms` of ``values``.
     ``block(i, lo, hi, ws, out)`` writes the dissimilarities between row i
     and rows lo..hi-1 into ``out``; every elementwise step writes into the
     ``(_POISSON_BUFFERS, hi - lo, p)`` workspace ``ws``, so a tile
@@ -238,24 +249,18 @@ def poisson_pair_dissimilarity(
     x2 = np.asarray(x_iprime, dtype=np.float64)
     if x1.shape != x2.shape or x1.ndim != 1:
         raise ValidationError("pair must be two vectors of equal length")
-    if np.any(x1 < 0) or np.any(x2 < 0) or not (
-        np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))
-    ):
-        raise ValidationError("count vectors must be finite and nonnegative")
-    if beta < 0:
-        raise ValidationError("beta must be nonnegative")
-    method = canonical_method(method)
     pair = np.stack([x1, x2])
-    terms = _row_terms(pair, method)
-    if terms is not None and not np.all(terms > 0):
-        raise ValidationError(f"{_ZERO_ROW_TERM[method]} in pair")
+    if not np.all(np.isfinite(pair) & (pair >= 0)):
+        raise ValidationError("count vectors must be finite and nonnegative")
+    _check_beta(beta)
+    terms = _pair_terms(pair, ("x_i", "x_iprime"), canonical_method(method))
     out = np.empty(1)
     block = _poisson_block(pair, beta, terms)
     block(0, 1, 2, np.empty((_POISSON_BUFFERS, 1, x1.size)), out)
     return float(out[0])
 
 
-def _pairwise(values: np.ndarray, ids, block_fn, buffers: int, threads: int | None) -> np.ndarray:
+def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -> np.ndarray:
     """Condensed matrix filled by ``block_fn(i, lo, hi, ws, out)``.
 
     The block writes row i's pairs with rows lo..hi-1 into ``out``, using
@@ -272,12 +277,7 @@ def _pairwise(values: np.ndarray, ids, block_fn, buffers: int, threads: int | No
             offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
             for lo in range(i + 1, n, tile):
                 hi = min(lo + tile, n)
-                out = condensed[offset + lo : offset + hi]
-                try:
-                    block_fn(i, lo, hi, workspace[:, : hi - lo], out)
-                except _RowError as exc:
-                    j = lo + exc.row
-                    raise ValidationError(f"pair ('{ids[i]}', '{ids[j]}'): {exc}") from exc
+                block_fn(i, lo, hi, workspace[:, : hi - lo], condensed[offset + lo : offset + hi])
 
     # the calling thread fills the first share of rows, pool threads the others
     workers = max(1, min(threads or 1, n - 1))
@@ -301,30 +301,22 @@ def poisson_dissimilarity_matrix(
     With ``transform`` on, the calibration exponent is estimated once on
     the whole matrix and applied before any pair is touched. Under
     total-count and quantile factors an observation whose total or 75th
-    percentile is zero has no size factor; all such observations are
-    named in one error before any pair is computed. Rows of pairs are
+    percentile is zero has no size factor, and under median-ratio neither
+    has a pair that shares no positive feature; all such observations or
+    pairs are named in one error before any pair is computed. Rows of pairs are
     independent; ``threads`` workers, the caller among them, fill them
     concurrently into disjoint slots, so parallel output is bit-identical
     to serial.
     """
     if matrix.n < 2:
         raise ValidationError("dissimilarity needs at least 2 observations")
-    if beta < 0:
-        raise ValidationError("beta must be nonnegative")
+    _check_beta(beta)
     method = canonical_method(method)
     if transform:
         matrix = find_alpha(matrix).matrix
     values = matrix.values
-    terms = _row_terms(values, method)
-    if terms is not None and not np.all(terms > 0):
-        zero = [matrix.sample_ids[k] for k in np.flatnonzero(~(terms > 0))]
-        shown = ", ".join(f"'{name}'" for name in zero[:10])
-        more = f" and {len(zero) - 10} more" if len(zero) > 10 else ""
-        raise ValidationError(
-            f"{_ZERO_ROW_TERM[method]} in {len(zero)} of {matrix.n} observations: {shown}{more}"
-        )
-    block = _poisson_block(values, beta, terms)
-    condensed = _pairwise(values, matrix.sample_ids, block, _POISSON_BUFFERS, threads)
+    block = _poisson_block(values, beta, _pair_terms(values, matrix.sample_ids, method))
+    condensed = _pairwise(values, block, _POISSON_BUFFERS, threads)
     return DissimilarityMatrix(condensed, matrix.sample_ids, "poisson", method)
 
 
@@ -348,7 +340,7 @@ def sq_euclidean_dissimilarity_matrix(
         np.square(diff, out=diff)
         diff.sum(axis=1, out=out)
 
-    condensed = _pairwise(scaled, matrix.sample_ids, block, 1, threads)
+    condensed = _pairwise(scaled, block, 1, threads)
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
 
 

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .count_matrix import CountMatrix, LabeledDataset
+from .count_matrix import CountMatrix, LabeledDataset, json_number
 from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
@@ -30,6 +30,11 @@ from .size_factors import (
 from .transform import calibrate
 
 PRIOR_MODES = ("uniform", "empirical")
+
+
+def _check_beta(beta: float) -> None:
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValidationError("beta must be finite and positive")
 
 
 def _check_rho(rho) -> None:
@@ -126,8 +131,7 @@ class PldaModel:
             raise ValidationError("all rate ratios must be strictly positive")
         if priors.shape != (K,) or abs(priors.sum() - 1.0) > 1e-12:
             raise ValidationError("priors must be K values summing to 1")
-        if self.beta <= 0:
-            raise ValidationError("beta must be positive")
+        _check_beta(self.beta)
         _check_rho(self.rho)
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
@@ -178,16 +182,19 @@ class PldaModel:
     def from_json(obj: dict[str, Any]) -> "PldaModel":
         if not isinstance(obj, dict) or obj.get("format") != "plda-model":
             raise ValidationError("not a classifier model file")
+        for key in ("class_names", "feature_ids"):
+            if not isinstance(obj[key], list) or not all(isinstance(s, str) for s in obj[key]):
+                raise ValidationError(f"{key} must be a list of strings")
         sf = None if obj["size_factors"] is None else SizeFactors.from_json(obj["size_factors"])
         return PldaModel(
             g_hat=np.asarray(obj["g_hat"]),
             d_hat=np.asarray(obj["d_hat"]),
             n_hat_class_sums=np.asarray(obj["n_hat_class_sums"]),
             priors=np.asarray(obj["priors"]),
-            beta=obj["beta"],
-            rho=obj["rho"],
+            beta=json_number(obj, "beta"),
+            rho=json_number(obj, "rho"),
             size_factors=sf,
-            alpha=obj["alpha"],
+            alpha=json_number(obj, "alpha"),
             class_names=tuple(obj["class_names"]),
             feature_ids=tuple(obj["feature_ids"]),
         )
@@ -234,8 +241,7 @@ def _fit_stats(
     """Fit state of the samples ``rows`` of ``data`` (all when None), on plain arrays."""
     if data.K < 2:
         raise ValidationError("classification needs at least 2 classes")
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
+    _check_beta(beta)
     if prior_mode not in PRIOR_MODES:
         raise ValidationError(f"prior_mode must be one of {PRIOR_MODES}")
     method = canonical_method(method)
@@ -577,3 +583,5 @@ def read_model(path) -> PldaModel:
         raise ValidationError(f"{path}: model has no {exc} field") from exc
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # an array field numpy cannot convert
+        raise ValidationError(f"{path}: malformed model: {exc}") from exc

@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_number
+from .count_matrix import CountMatrix, format_number, json_number
 from .errors import ValidationError
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -40,7 +40,7 @@ def canonical_method(name: str) -> str:
 class SizeFactors:
     """Normalized per-sample scale estimates plus extension statistics.
 
-    ``aux`` holds what `estimate_test_size_factor` needs per method:
+    ``aux`` holds what `estimate_test_size_factors` needs per method:
     the training grand total (total-count), per-sample quantiles and their
     sum (quantile), or per-feature geometric means, the usable-feature mask,
     and per-sample medians with their sum (median-ratio). All methods also
@@ -74,76 +74,64 @@ class SizeFactors:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SizeFactors":
-        aux = dict(obj["aux"])
-        for key in ("geometric_means", "m", "q"):
+        """Rebuild from :meth:`to_json`, checking each ``aux`` entry a test factor reads."""
+        method, aux = canonical_method(obj["method"]), dict(obj["aux"])
+        aux[_NORMALIZER[method]] = json_number(aux, _NORMALIZER[method])
+        p = json_number(aux, "p")
+        for key, dtype in _AUX_ARRAYS.items():
             if key in aux:
-                aux[key] = np.asarray(aux[key], dtype=np.float64)
-        if "usable" in aux:
-            aux["usable"] = np.asarray(aux["usable"], dtype=bool)
-        return SizeFactors(np.asarray(obj["values"]), obj["method"], aux)
+                aux[key] = np.asarray(aux[key], dtype=dtype)
+        for key in ("geometric_means", "usable") if method == "median-ratio" else ():
+            if aux[key].shape != (p,):
+                raise ValidationError(f"aux {key} must hold {p:g} entries")
+        return SizeFactors(np.asarray(obj["values"]), method, aux)
 
 
-def _total_count(values: np.ndarray, sample_ids) -> SizeFactors:
-    sums = values.sum(axis=1)
-    zero = np.flatnonzero(sums <= 0)
-    if zero.size:
-        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero total count")
-    grand_total = float(values.sum())
-    return SizeFactors(
-        sums / grand_total,
-        "total-count",
-        {"grand_total": grand_total, "p": values.shape[1]},
-    )
+_AUX_ARRAYS = {"geometric_means": np.float64, "usable": bool, "m": np.float64, "q": np.float64}
 
-
-def _median_ratio(values: np.ndarray, sample_ids) -> SizeFactors:
-    usable = np.all(values > 0, axis=0)
-    if not usable.any():
-        raise ValidationError(
-            "no feature has positive counts in every sample; "
-            "median-ratio factors are undefined, try total-count or quantile"
-        )
-    # geometric means in log space to avoid overflow at large p
-    log_gm = np.mean(np.log(values[:, usable]), axis=0)
-    gm = np.exp(log_gm)
-    geometric_means = np.zeros(values.shape[1])
-    geometric_means[usable] = gm
-    m = np.median(values[:, usable] / gm, axis=1)
-    zero = np.flatnonzero(m <= 0)
-    if zero.size:
-        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero median ratio")
-    m_sum = float(m.sum())
-    return SizeFactors(
-        m / m_sum,
-        "median-ratio",
-        {
-            "geometric_means": geometric_means,
-            "usable": usable,
-            "m": m,
-            "m_sum": m_sum,
-            "p": values.shape[1],
-        },
-    )
-
-
-def _quantile(values: np.ndarray, sample_ids) -> SizeFactors:
-    q = np.percentile(values, 75, axis=1)
-    zero = np.flatnonzero(q <= 0)
-    if zero.size:
-        raise ValidationError(f"sample '{sample_ids[zero[0]]}' has zero 75th percentile")
-    q_sum = float(q.sum())
-    return SizeFactors(q / q_sum, "quantile", {"q": q, "q_sum": q_sum, "p": values.shape[1]})
-
-
-_ESTIMATORS = {
-    "total-count": _total_count,
-    "median-ratio": _median_ratio,
-    "quantile": _quantile,
+_ZERO_STATISTIC = {
+    "total-count": "zero total count",
+    "quantile": "zero 75th percentile",
+    "median-ratio": "zero median ratio",
 }
+
+# the aux entry each method divides its row statistics by
+_NORMALIZER = {"total-count": "grand_total", "quantile": "q_sum", "median-ratio": "m_sum"}
+
+
+def row_statistic(values: np.ndarray, method: str, aux=None) -> np.ndarray:
+    """Each row's total, 75th percentile, or median ratio to the geometric means.
+
+    The median-ratio statistic takes the usable features of ``aux``. A size
+    factor is its row's statistic over a normalizer; a zero has none.
+    """
+    if method == "total-count":
+        return values.sum(axis=1)
+    if method == "quantile":
+        return np.percentile(values, 75, axis=1)
+    usable = aux["usable"]
+    return np.median(values[:, usable] / aux["geometric_means"][usable], axis=1)
+
+
+def first_ten(names: list[str], count: int) -> str:
+    """The first 10 of ``count`` names, comma-joined, then how many more there are."""
+    more = f" and {count - 10} more" if count > 10 else ""
+    return ", ".join(names[:10]) + more
+
+
+def check_statistics(stats: np.ndarray, ids, method: str) -> None:
+    """Raise ``zero total count in 2 of 9 observations: 's1', 's4'`` and the like."""
+    zero = np.flatnonzero(~(stats > 0))
+    if zero.size:
+        names = [f"'{ids[k]}'" for k in zero[:10]]
+        raise ValidationError(
+            f"{_ZERO_STATISTIC[method]} in {zero.size} of {stats.size} observations: "
+            + first_ten(names, zero.size)
+        )
 
 
 def estimate_size_factors(matrix: CountMatrix, method: str) -> SizeFactors:
-    """Dispatch to the named estimator."""
+    """Size factors of the samples of ``matrix`` under the named method."""
     return size_factors_of(matrix.values, matrix.sample_ids, method)
 
 
@@ -152,14 +140,29 @@ def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
 
     ``sample_ids`` name the rows in error messages.
     """
-    return _ESTIMATORS[canonical_method(method)](values, sample_ids)
-
-
-_ZERO_STATISTIC = {
-    "total-count": "zero total count",
-    "quantile": "zero 75th percentile",
-    "median-ratio": "zero median ratio",
-}
+    method = canonical_method(method)
+    aux = {}
+    if method == "median-ratio":
+        usable = np.all(values > 0, axis=0)
+        if not usable.any():
+            raise ValidationError(
+                "no feature has positive counts in every sample; "
+                "median-ratio factors are undefined, try total-count or quantile"
+            )
+        geometric_means = np.zeros(values.shape[1])
+        # geometric means in log space to avoid overflow at large p
+        geometric_means[usable] = np.exp(np.mean(np.log(values[:, usable]), axis=0))
+        aux = {"geometric_means": geometric_means, "usable": usable}
+    stats = row_statistic(values, method, aux)
+    check_statistics(stats, sample_ids, method)
+    if method == "total-count":
+        aux["grand_total"] = normalizer = float(values.sum())
+    else:
+        key = "q" if method == "quantile" else "m"
+        aux[key] = stats
+        aux[key + "_sum"] = normalizer = float(stats.sum())
+    aux["p"] = values.shape[1]
+    return SizeFactors(stats / normalizer, method, aux)
 
 
 def estimate_test_size_factors(
@@ -180,20 +183,13 @@ def estimate_test_size_factors(
         raise ValidationError(f"test observations have {rows.shape[-1]} features, expected {p}")
     if not np.all(np.isfinite(rows)) or np.any(rows < 0):
         raise ValidationError("test observations must be finite and nonnegative")
-    if factors.method == "total-count":
-        stats, normalizer = rows.sum(axis=1), factors.aux["grand_total"]
-    elif factors.method == "quantile":
-        stats, normalizer = np.percentile(rows, 75, axis=1), factors.aux["q_sum"]
-    else:
-        usable = factors.aux["usable"]
-        gm = factors.aux["geometric_means"][usable]
-        stats, normalizer = np.median(rows[:, usable] / gm, axis=1), factors.aux["m_sum"]
-    zero = np.flatnonzero(stats <= 0)
+    stats = row_statistic(rows, factors.method, factors.aux)
+    zero = np.flatnonzero(~(stats > 0))
     if zero.size:
         i = int(zero[0])
         name = i if sample_ids is None else repr(sample_ids[i])
         raise ValidationError(f"{_ZERO_STATISTIC[factors.method]} in test observation {name}")
-    return stats / normalizer
+    return stats / factors.aux[_NORMALIZER[factors.method]]
 
 
 def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:

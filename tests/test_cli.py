@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
@@ -126,6 +128,26 @@ def test_predict_unknown_class_in_labels(sim_dir, tmp_path):
     ) == 2
 
 
+def test_duplicate_label_exits_2_in_every_command(sim_dir, tmp_path, capsys):
+    labels = (sim_dir / "labels.tsv").read_text()
+    twice = tmp_path / "twice.tsv"
+    twice.write_text(labels + labels.splitlines()[0] + "\n", encoding="utf-8")
+    counts = sim_dir / "counts.tsv"
+    assert run("train", "--counts", counts, "--labels", sim_dir / "labels.tsv",
+               "--out-dir", tmp_path / "t") == 0
+    assert run("dissim", "--counts", counts, "--out-dir", tmp_path / "d") == 0
+    commands = [
+        ("train", "--counts", counts, "--labels", twice),
+        ("predict", "--counts", counts, "--model", tmp_path / "t" / "model.json",
+         "--labels", twice),
+        ("cluster", "--dissim", tmp_path / "d" / "dissim.tsv", "--cut-k", 3, "--sweep",
+         "--labels", twice),
+    ]
+    for command in commands:
+        assert run(*command, "--out-dir", tmp_path / "x") == 2
+        assert "sample 's1' labeled more than once" in capsys.readouterr().err
+
+
 def test_predict_wrong_feature_count(sim_dir, tmp_path):
     train_dir = tmp_path / "train"
     assert run(
@@ -173,6 +195,87 @@ def test_non_finite_rho_exits_2(sim_dir, tmp_path):
         "predict", "--counts", sim_dir / "counts.tsv", "--model", broken,
         "--out-dir", tmp_path / "p",
     ) == 2
+
+
+def test_non_finite_beta_exits_2(sim_dir, tmp_path):
+    inputs = ["--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv"]
+    for beta in ("nan", "inf"):
+        assert run("train", *inputs, "--beta", beta, "--out-dir", tmp_path / "t") == 2
+        assert run("cv", *inputs, "--beta", beta, "--out-dir", tmp_path / "cv") == 2
+        assert run(
+            "dissim", "--counts", sim_dir / "counts.tsv", "--beta", beta,
+            "--out-dir", tmp_path / "d",
+        ) == 2
+    assert not (tmp_path / "t" / "model.json").exists()
+    assert not (tmp_path / "d" / "dissim.tsv").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Simulated counts and one trained model.json per size-factor method."""
+    root = tmp_path_factory.mktemp("trained")
+    assert run(
+        "simulate", "--n", 12, "--p", 150, "--k", 3, "--phi", 0.01,
+        "--sigma", 0.4, "--seed", 5, "--out-dir", root,
+    ) == 0
+    models = {}
+    for method in ("total-count", "quantile", "median-ratio"):
+        assert run(
+            "train", "--counts", root / "counts.tsv", "--labels", root / "labels.tsv",
+            "--size-factors", method, "--out-dir", root / method,
+        ) == 0
+        models[method] = json.loads((root / method / "model.json").read_text())
+    return root, models
+
+
+def predict_with(root, model, name="edited.json"):
+    path = root / name
+    path.write_text(json.dumps(model), encoding="utf-8")
+    counts = root / "counts.tsv"
+    return run("predict", "--counts", counts, "--model", path, "--out-dir", root / "p")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("rho",), None), (("beta",), "1"), (("alpha",), None), (("priors",), "x"),
+     (("size_factors", "aux"), None), (("class_names",), "abc")],
+)
+def test_model_field_of_wrong_type_exits_2(trained, capsys, path, value):
+    root, models = trained
+    model = json.loads(json.dumps(models["total-count"]))
+    parent = model
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert predict_with(root, model) == 2
+    assert f"{root / 'edited.json'}: " in capsys.readouterr().err
+
+
+def _field_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.text(max_size=5),
+    st.lists(st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)), max_size=3), max_size=3),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_model_with_any_field_retyped_exits_0_or_2(trained, data):
+    root, models = trained
+    model = json.loads(json.dumps(models[data.draw(st.sampled_from(sorted(models)))]))
+    path = data.draw(st.sampled_from(list(_field_paths(model))))
+    parent = model
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_ODD_VALUES)
+    assert predict_with(root, model) in (0, 2)
 
 
 def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):

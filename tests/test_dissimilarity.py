@@ -214,9 +214,9 @@ def test_sq_euclidean_threads_reach_the_pair_loop(monkeypatch, tmp_path):
     seen = []
     original = dissimilarity._pairwise
 
-    def spy(values, ids, block_fn, buffers, threads):
+    def spy(values, block_fn, buffers, threads):
         seen.append(threads)
-        return original(values, ids, block_fn, buffers, threads)
+        return original(values, block_fn, buffers, threads)
 
     monkeypatch.setattr(dissimilarity, "_pairwise", spy)
     m = matrix(np.random.default_rng(54).integers(1, 40, (6, 9)).astype(float))
@@ -264,6 +264,51 @@ def test_matrix_error_names_offending_pair():
             ValidationError, match=r"^zero 75th percentile in 1 of 12 observations: 's11'$"
         ):
             poisson_dissimilarity_matrix(matrix(values), "quantile", transform=False, threads=threads)
+
+
+def test_median_ratio_pairs_without_common_feature_are_listed_up_front():
+    # the 4 pairs (a, b) are the only ones that share no positive feature:
+    # a is positive on block k and block 4, b everywhere but blocks k and 4
+    values = np.ones((300, 1_000))
+    blocks = values.reshape(300, 8, 125)
+    for k, (a, b) in enumerate([(5, 7), (40, 41), (120, 299), (250, 290)]):
+        blocks[a] = 0.0
+        blocks[a, [k, 4]] = 1.0
+        blocks[b, [k, 4]] = 0.0
+    message = (
+        "pair ('s5', 's7'): no feature is positive in both observations; "
+        "median-ratio is undefined for 4 of 44850 pairs: "
+        "('s5', 's7'), ('s40', 's41'), ('s120', 's299'), ('s250', 's290')"
+    )
+    for threads in (1, 2, 5):
+        with pytest.raises(ValidationError) as excinfo:
+            poisson_dissimilarity_matrix(
+                matrix(values), "median-ratio", transform=False, threads=threads
+            )
+        assert str(excinfo.value) == message
+    # past 10 pairs the message counts the rest
+    values = np.zeros((15, 2))
+    values[::2, 0] = values[1::2, 1] = 1.0
+    with pytest.raises(ValidationError, match=r"of 105 pairs: \('s0', 's1'\), .* and 46 more$"):
+        poisson_dissimilarity_matrix(matrix(values), "median-ratio", transform=False)
+
+
+def test_pair_function_checks_its_pair_up_front():
+    with pytest.raises(ValidationError, match=r"^pair \('x_i', 'x_iprime'\): no feature"):
+        poisson_pair_dissimilarity([1.0, 0.0], [0.0, 1.0], "median-ratio")
+    with pytest.raises(ValidationError, match=r"^zero total count in 1 of 2 observations"):
+        poisson_pair_dissimilarity([1.0, 0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("beta", (-1.0, np.nan, np.inf))
+def test_beta_validation(beta):
+    m = matrix([[1.0, 2.0], [3.0, 1.0]])
+    with pytest.raises(ValidationError, match="beta"):
+        poisson_dissimilarity_matrix(m, beta=beta)
+    with pytest.raises(ValidationError, match="beta"):
+        feature_dissimilarity_matrix(m, beta=beta)
+    with pytest.raises(ValidationError, match="beta"):
+        poisson_pair_dissimilarity([1.0, 2.0], [3.0, 1.0], beta=beta)
 
 
 def test_zero_total_observations_are_listed_up_front():

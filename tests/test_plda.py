@@ -112,8 +112,13 @@ def test_huge_rho_shrinks_everything():
 
 def test_beta_validation():
     data = random_dataset(2)
-    with pytest.raises(ValidationError):
-        fit(data, beta=0.0)
+    for beta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="beta"):
+            fit(data, beta=beta)
+        with pytest.raises(ValidationError, match="beta"):
+            cross_validate(data, folds=3, beta=beta)
+        with pytest.raises(ValidationError, match="beta"):
+            injected_model(g=[1.0], d=[[2.0], [0.5]], priors=[0.5, 0.5], beta=beta)
     for rho in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="rho"):
             fit(data, rho=rho)

@@ -89,6 +89,29 @@ def test_quantile_zero_percentile_names_sample():
 
 # --- shared properties ---
 
+@pytest.mark.parametrize(
+    "method, rows, message",
+    [
+        ("total-count", [[1, 2], [0, 0], [3, 4], [0, 0]], "zero total count in 2 of 4"),
+        (
+            "quantile",
+            [[1, 1, 1, 1, 1], [0, 0, 0, 0, 1], [2, 2, 2, 2, 2], [0, 0, 0, 0, 2]],
+            "zero 75th percentile in 2 of 4",
+        ),
+        # a subnormal count over a geometric mean of about 1e116 underflows to 0
+        (
+            "median-ratio",
+            [[1e300] * 3, [5e-324] * 3, [1e300] * 3, [5e-324] * 3, [1e300] * 3],
+            "zero median ratio in 2 of 5",
+        ),
+    ],
+)
+def test_zero_statistics_are_named_in_one_message(method, rows, message):
+    with pytest.raises(ValidationError) as excinfo:
+        estimate_size_factors(matrix(rows), method)
+    assert str(excinfo.value) == f"{message} observations: 's1', 's3'"
+
+
 @pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
