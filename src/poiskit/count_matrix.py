@@ -215,6 +215,20 @@ class Partition:
         return self.assignments.size
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file.
+
+    Bytes that are not UTF-8 raise :class:`ParseError` naming the file and
+    the line they are on.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 in {path}: {exc.reason}", line=line) from exc
+
+
 def _split_line(line: str) -> list[str]:
     return line.rstrip("\n").rstrip("\r").split("\t")
 
@@ -256,9 +270,7 @@ def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMa
     """
     if orientation not in ("samples", "features"):
         raise ValidationError(f"unknown orientation '{orientation}'")
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = _split_line(lines[0])
@@ -288,9 +300,7 @@ def write_count_matrix(matrix: CountMatrix, path: str | Path) -> None:
 
 def read_two_column_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read an (id, name) file, preserving order; rejects malformed rows."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         if raw == "":

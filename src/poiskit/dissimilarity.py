@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_row, parse_rows
+from .count_matrix import CountMatrix, format_row, parse_rows, read_text
 from .errors import ParseError, ValidationError
 from .size_factors import (
     canonical_method,
@@ -381,9 +381,7 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     The sidecar is consulted when present; otherwise measure and method are
     recorded as "unknown".
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].split("\t")
@@ -397,11 +395,10 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     measure, method = "unknown", "unknown"
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
-        with open(sidecar, encoding="utf-8") as handle:
-            try:
-                meta = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {sidecar}: {exc.msg}", line=exc.lineno) from exc
+        try:
+            meta = json.loads(read_text(sidecar))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {sidecar}: {exc.msg}", line=exc.lineno) from exc
         if not isinstance(meta, dict):
             raise ValidationError(f"{sidecar}: sidecar must be a JSON object")
         measure = meta.get("measure", measure)

@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .count_matrix import CountMatrix, LabeledDataset, json_number
+from .count_matrix import CountMatrix, LabeledDataset, json_number, read_text
 from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
@@ -102,13 +102,11 @@ class PldaModel:
     observations. ``size_factors`` carries the training statistics needed
     to scale a new observation; it may be None for models assembled
     directly from known parameters, in which case ``predict`` requires an
-    explicit ``s_star``. ``n_hat_class_sums`` (per-class summed offsets) is
-    retained for diagnostics.
+    explicit ``s_star``.
     """
 
     g_hat: np.ndarray
     d_hat: np.ndarray
-    n_hat_class_sums: np.ndarray
     priors: np.ndarray
     beta: float
     rho: float
@@ -120,28 +118,32 @@ class PldaModel:
     def __post_init__(self):
         g = np.asarray(self.g_hat, dtype=np.float64)
         d = np.asarray(self.d_hat, dtype=np.float64)
-        nsum = np.asarray(self.n_hat_class_sums, dtype=np.float64)
         priors = np.asarray(self.priors, dtype=np.float64)
         if g.ndim != 1:
             raise ValidationError("g_hat must be a vector")
         K, p = d.shape if d.ndim == 2 else (0, -1)
-        if p != g.size or nsum.shape != (K, p):
-            raise ValidationError("d_hat and n_hat_class_sums must be K x p")
-        if not np.all(d > 0):
-            raise ValidationError("all rate ratios must be strictly positive")
-        if priors.shape != (K,) or abs(priors.sum() - 1.0) > 1e-12:
-            raise ValidationError("priors must be K values summing to 1")
+        if p != g.size:
+            raise ValidationError("d_hat must be K x p, with p the length of g_hat")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise ValidationError("g_hat must be finite and nonnegative")
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise ValidationError("all rate ratios must be finite and strictly positive")
+        if (
+            priors.shape != (K,)
+            or not np.all(np.isfinite(priors) & (priors >= 0))
+            or abs(priors.sum() - 1.0) > 1e-12
+        ):
+            raise ValidationError("priors must be K finite nonnegative values summing to 1")
         _check_beta(self.beta)
         _check_rho(self.rho)
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
         if len(self.class_names) != K:
             raise ValidationError("class_names length must equal K")
-        for arr in (g, d, nsum, priors):
+        for arr in (g, d, priors):
             arr.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
         object.__setattr__(self, "d_hat", d)
-        object.__setattr__(self, "n_hat_class_sums", nsum)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
@@ -175,7 +177,6 @@ class PldaModel:
             "feature_ids": list(self.feature_ids),
             "g_hat": self.g_hat.tolist(),
             "d_hat": self.d_hat.tolist(),
-            "n_hat_class_sums": self.n_hat_class_sums.tolist(),
         }
 
     @staticmethod
@@ -189,7 +190,6 @@ class PldaModel:
         return PldaModel(
             g_hat=np.asarray(obj["g_hat"]),
             d_hat=np.asarray(obj["d_hat"]),
-            n_hat_class_sums=np.asarray(obj["n_hat_class_sums"]),
             priors=np.asarray(obj["priors"]),
             beta=json_number(obj, "beta"),
             rho=json_number(obj, "rho"),
@@ -223,7 +223,6 @@ class FitStats:
     g_hat: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    n_hat_class_sums: np.ndarray
     priors: np.ndarray
     class_names: tuple[str, ...]
     feature_ids: tuple[str, ...]
@@ -266,9 +265,8 @@ def _fit_stats(
         x_class[k - 1] = values[idx].sum(axis=0)
         s_class[k - 1] = factors.values[idx].sum()
         counts[k - 1] = idx.size
-    n_hat_class_sums = s_class[:, None] * g_hat[None, :]
     a = x_class + beta
-    b = n_hat_class_sums + beta
+    b = s_class[:, None] * g_hat[None, :] + beta
     if prior_mode == "uniform":
         priors = np.full(K, 1.0 / K)
     else:
@@ -279,7 +277,6 @@ def _fit_stats(
         g_hat=g_hat,
         a=a,
         b=b,
-        n_hat_class_sums=n_hat_class_sums,
         priors=priors,
         class_names=data.class_names,
         feature_ids=data.matrix.feature_ids,
@@ -291,7 +288,6 @@ def _model_from_stats(stats: FitStats, rho: float) -> PldaModel:
     return PldaModel(
         g_hat=stats.g_hat,
         d_hat=shrunken_ratios(stats.a, stats.b, rho),
-        n_hat_class_sums=stats.n_hat_class_sums,
         priors=stats.priors,
         beta=stats.beta,
         rho=rho,
@@ -448,7 +444,9 @@ class CrossValidationResult:
     classifier fitted on all of the data at that value, equal to
     ``fit(data, rho=selected_rho)`` with the same settings.
     ``fold_alphas`` holds the transform exponent fitted on each fold's
-    training portion (1.0 throughout with the transform off).
+    training portion (1.0 throughout with the transform off), and row f
+    of ``fold_errors`` fold f's misclassifications at each rho; its
+    columns sum to ``errors``.
     """
 
     rho_grid: np.ndarray
@@ -460,6 +458,7 @@ class CrossValidationResult:
     seed: int
     model: PldaModel
     fold_alphas: tuple[float, ...]
+    fold_errors: np.ndarray
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -471,6 +470,7 @@ class CrossValidationResult:
             "folds": self.folds,
             "seed": self.seed,
             "fold_alphas": list(self.fold_alphas),
+            "fold_errors": self.fold_errors.tolist(),
         }
 
 
@@ -483,7 +483,8 @@ def _sweep_fold(
     errors: np.ndarray,
     nonzero: np.ndarray,
 ) -> None:
-    """Add one fold's held-out errors and active features at each rho to the totals.
+    """Write one fold's held-out errors at each rho into ``errors``, its row,
+    and add its active features to the totals in ``nonzero``.
 
     ``test_rows`` are already transformed, and ``test_ids`` name them in
     errors. The shrinker's workspaces live only for this call, so no two
@@ -496,7 +497,7 @@ def _sweep_fold(
         d, log_d = shrunk(rho)
         scores = _score_rows(test_rows, s_stars, log_d, d @ train.g_hat, log_priors)
         predicted = np.argmax(scores, axis=1) + 1
-        errors[r] += int((predicted != truth).sum())
+        errors[r] = int((predicted != truth).sum())
         nonzero[r] += _nonzero_features(d)
 
 
@@ -527,7 +528,7 @@ def cross_validate(
         grid = _rho_grid(stats)
     fold_of, effective = stratified_folds(data.labels, folds, seed)
 
-    errors = np.zeros(grid.size, dtype=np.int64)
+    fold_errors = np.zeros((effective, grid.size), dtype=np.int64)
     nonzero = np.zeros(grid.size, dtype=np.float64)
     fold_alphas = []
     for f in range(effective):
@@ -539,7 +540,9 @@ def cross_validate(
         test_raw = data.matrix.values[test_idx]
         test_rows = test_raw if train.alpha == 1.0 else test_raw**train.alpha
         test_ids = [data.matrix.sample_ids[i] for i in test_idx]
-        _sweep_fold(train, test_rows, test_ids, data.labels[test_idx], grid, errors, nonzero)
+        truth = data.labels[test_idx]
+        _sweep_fold(train, test_rows, test_ids, truth, grid, fold_errors[f], nonzero)
+    errors = fold_errors.sum(axis=0)
     nonzero /= effective
     best = int(np.argmin(errors))
     selected = float(grid[best])
@@ -553,6 +556,7 @@ def cross_validate(
         seed=seed,
         model=_model_from_stats(stats, selected),
         fold_alphas=tuple(fold_alphas),
+        fold_errors=fold_errors,
     )
 
 
@@ -572,11 +576,10 @@ def write_model(model: PldaModel, path) -> None:
 
 def read_model(path) -> PldaModel:
     """Load a model file; malformed content raises an error naming the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
     try:
         return PldaModel.from_json(obj)
     except KeyError as exc:

@@ -74,13 +74,24 @@ class SizeFactors:
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SizeFactors":
-        """Rebuild from :meth:`to_json`, checking each ``aux`` entry a test factor reads."""
+        """Rebuild from :meth:`to_json`, checking each ``aux`` entry a test factor reads.
+
+        Every float entry must be finite, the normalizer positive and ``p`` a
+        positive integer.
+        """
         method, aux = canonical_method(obj["method"]), dict(obj["aux"])
-        aux[_NORMALIZER[method]] = json_number(aux, _NORMALIZER[method])
+        normalizer = _NORMALIZER[method]
+        aux[normalizer] = json_number(aux, normalizer)
+        if not (aux[normalizer] > 0 and np.isfinite(aux[normalizer])):
+            raise ValidationError(f"aux {normalizer} must be finite and positive")
         p = json_number(aux, "p")
+        if not (p.is_integer() and p >= 1):
+            raise ValidationError(f"aux p must be a positive integer, got {p}")
         for key, dtype in _AUX_ARRAYS.items():
             if key in aux:
                 aux[key] = np.asarray(aux[key], dtype=dtype)
+                if dtype is np.float64 and not np.all(np.isfinite(aux[key])):
+                    raise ValidationError(f"aux {key} must be finite")
         for key in ("geometric_means", "usable") if method == "median-ratio" else ():
             if aux[key].shape != (p,):
                 raise ValidationError(f"aux {key} must hold {p:g} entries")

@@ -197,14 +197,15 @@ def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, tran
     It pins the array-level fold loop of ``cross_validate`` bit for bit to
     this container-level loop and its held-out decisions to the public
     prediction path. Returns ``(rho_grid, errors, nonzero_features,
-    selected_rho, folds)``.
+    selected_rho, folds, fold_errors)``, where row f of ``fold_errors``
+    counts fold f's misclassifications at each rho.
     """
     if rho_grid is None:
         grid = default_rho_grid(data, method, beta, transform)
     else:
         grid = np.asarray(sorted(float(r) for r in rho_grid), dtype=np.float64)
     fold_of, effective = stratified_folds(data.labels, folds, seed)
-    errors = np.zeros(grid.size, dtype=np.int64)
+    fold_errors = np.zeros((effective, grid.size), dtype=np.int64)
     nonzero = np.zeros(grid.size, dtype=np.float64)
     for f in range(effective):
         train_idx = np.flatnonzero(fold_of != f)
@@ -229,7 +230,6 @@ def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, tran
             model = PldaModel(
                 g_hat=stats.g_hat,
                 d_hat=np.where(dev > thr, ratio - thr, np.where(-dev > thr, ratio + thr, 1.0)),
-                n_hat_class_sums=stats.n_hat_class_sums,
                 priors=stats.priors,
                 beta=stats.beta,
                 rho=float(rho),
@@ -239,7 +239,8 @@ def per_rho_cross_validate(data, method, rho_grid, folds, seed, prior_mode, tran
                 feature_ids=stats.feature_ids,
             )
             predicted = np.array([predict(model, row).class_index for row in test_raw])
-            errors[r] += int((predicted != truth).sum())
+            fold_errors[f, r] = int((predicted != truth).sum())
             nonzero[r] += int(np.any(model.d_hat != 1.0, axis=0).sum())
     nonzero /= effective
-    return grid, errors, nonzero, float(grid[int(np.argmin(errors))]), effective
+    errors = fold_errors.sum(axis=0)
+    return grid, errors, nonzero, float(grid[int(np.argmin(errors))]), effective, fold_errors

@@ -146,7 +146,6 @@ def _random_injected_model(rng):
     return PldaModel(
         g_hat=g,
         d_hat=d,
-        n_hat_class_sums=np.ones((K, p)),
         priors=priors,
         beta=1.0,
         rho=0.0,
@@ -170,14 +169,15 @@ def test_criterion_7_classifier_identities():
         3,
     )
     sparse_zero = fit(data, rho=0.0, transform=False)
-    b = sparse_zero.n_hat_class_sums + sparse_zero.beta
+    s = sparse_zero.size_factors.values
+    s_class = np.array([s[data.class_indices(k)].sum() for k in (1, 2, 3)])
+    b = np.outer(s_class, sparse_zero.g_hat) + sparse_zero.beta
     a = np.vstack(
         [values[data.class_indices(k)].sum(axis=0) for k in (1, 2, 3)]
     ) + sparse_zero.beta
     plain = PldaModel(
         g_hat=sparse_zero.g_hat,
         d_hat=a / b,
-        n_hat_class_sums=sparse_zero.n_hat_class_sums,
         priors=sparse_zero.priors,
         beta=sparse_zero.beta,
         rho=0.0,
@@ -223,7 +223,6 @@ def test_criterion_8_bayes_boundary_grid():
     model = PldaModel(
         g_hat=np.array([1.0, 1.0]),
         d_hat=np.array([[10.0, 10.0], [28.0, 28.0]]),
-        n_hat_class_sums=np.ones((2, 2)),
         priors=np.array([0.5, 0.5]),
         beta=1.0,
         rho=0.0,

@@ -228,6 +228,16 @@ def trained(tmp_path_factory):
     return root, models
 
 
+def edited(model, path, value):
+    """A deep copy of a parsed model file with the field at ``path`` set to ``value``."""
+    model = json.loads(json.dumps(model))
+    parent = model
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return model
+
+
 def predict_with(root, model, name="edited.json"):
     path = root / name
     path.write_text(json.dumps(model), encoding="utf-8")
@@ -242,12 +252,7 @@ def predict_with(root, model, name="edited.json"):
 )
 def test_model_field_of_wrong_type_exits_2(trained, capsys, path, value):
     root, models = trained
-    model = json.loads(json.dumps(models["total-count"]))
-    parent = model
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    assert predict_with(root, model) == 2
+    assert predict_with(root, edited(models["total-count"], path, value)) == 2
     assert f"{root / 'edited.json'}: " in capsys.readouterr().err
 
 
@@ -269,13 +274,82 @@ _ODD_VALUES = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_model_with_any_field_retyped_exits_0_or_2(trained, data):
     root, models = trained
-    model = json.loads(json.dumps(models[data.draw(st.sampled_from(sorted(models)))]))
+    model = models[data.draw(st.sampled_from(sorted(models)))]
     path = data.draw(st.sampled_from(list(_field_paths(model))))
-    parent = model
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = data.draw(_ODD_VALUES)
-    assert predict_with(root, model) in (0, 2)
+    assert predict_with(root, edited(model, path, data.draw(_ODD_VALUES))) in (0, 2)
+
+
+def _number_leaves(obj, prefix=()):
+    """Paths to each number of a model file; an array is stood for by its first element."""
+    for key, value in obj.items():
+        path = prefix + (key,)
+        while isinstance(value, list) and value:
+            value, path = value[0], path + (0,)
+        if isinstance(value, dict):
+            yield from _number_leaves(value, path)
+        elif type(value) in (int, float):
+            yield path
+
+
+@pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
+def test_model_with_non_finite_number_exits_2(trained, capsys, method):
+    root, models = trained
+    paths = list(_number_leaves(models[method]))
+    assert ("g_hat", 0) in paths and ("size_factors", "aux", "p") in paths
+    for path in paths:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            assert predict_with(root, edited(models[method], path, value)) == 2, (path, value)
+            assert f"{root / 'edited.json'}: " in capsys.readouterr().err, (path, value)
+
+
+def test_model_json_holds_only_what_prediction_reads(trained):
+    _, models = trained
+    for model in models.values():
+        assert list(model) == [
+            "format", "size_factor_method", "size_factors", "alpha", "beta", "rho",
+            "priors", "class_names", "feature_ids", "g_hat", "d_hat",
+        ]
+
+
+def test_model_with_older_class_sums_key_predicts_the_same(trained):
+    root, models = trained
+    for method, model in models.items():
+        original = root / method / "model.json"
+        assert run("predict", "--counts", root / "counts.tsv", "--model", original,
+                   "--out-dir", root / "p") == 0
+        expected = (root / "p" / "predictions.tsv").read_bytes()
+        older = dict(model)
+        older["n_hat_class_sums"] = np.outer(np.arange(1.0, 4.0), model["g_hat"]).tolist()
+        assert predict_with(root, older) == 0
+        assert (root / "p" / "predictions.tsv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("kind", ["counts", "labels", "model", "dissim", "sidecar"])
+def test_non_utf8_input_exits_2_naming_file_and_line(trained, tmp_path, capsys, kind):
+    root, _ = trained
+    dissim = tmp_path / "d.tsv"
+    dissim.write_text("id\ta\tb\na\t0\t1\nb\t1\t0\n", encoding="utf-8")
+    sidecar = tmp_path / "d.tsv.json"
+    sidecar.write_text('{"measure": "poisson", "method": "total-count", "n": 2}\n')
+    good = {
+        "counts": root / "counts.tsv", "labels": root / "labels.tsv",
+        "model": root / "total-count" / "model.json", "dissim": dissim, "sidecar": sidecar,
+    }
+    bad = good[kind] if kind == "sidecar" else tmp_path / ("bad-" + good[kind].name)
+    lines = good[kind].read_bytes().split(b"\n")
+    lineno = 2 if len(lines) > 2 else 1
+    lines[lineno - 1] += b"\xff"
+    bad.write_bytes(b"\n".join(lines))
+    use = {**good, kind: bad}
+    argv = {
+        "counts": ["transform", "--counts", use["counts"]],
+        "labels": ["train", "--counts", use["counts"], "--labels", use["labels"]],
+        "model": ["predict", "--counts", use["counts"], "--model", use["model"]],
+        "dissim": ["cluster", "--dissim", use["dissim"], "--cut-k", 1],
+        "sidecar": ["cluster", "--dissim", use["dissim"], "--cut-k", 1],
+    }[kind]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    assert f"line {lineno}: invalid UTF-8 in {bad}" in capsys.readouterr().err
 
 
 def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):
@@ -317,6 +391,8 @@ def test_cv_writes_selection(sim_dir, tmp_path):
     assert cv["selected_rho"] in cv["rho_grid"]
     assert len(cv["fold_alphas"]) == cv["folds"] == 4
     assert all(0.0 < alpha <= 1.0 for alpha in cv["fold_alphas"])
+    assert np.array(cv["fold_errors"]).shape == (4, 2)
+    assert np.array(cv["fold_errors"]).sum(axis=0).tolist() == cv["errors"]
     assert (cv_dir / "model.json").exists()
     manifest = json.loads((cv_dir / "manifest.json").read_text())
     model = json.loads((cv_dir / "model.json").read_text())

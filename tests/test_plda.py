@@ -52,7 +52,6 @@ def injected_model(g, d, priors, beta=1.0, rho=0.0):
     return PldaModel(
         g_hat=g,
         d_hat=d,
-        n_hat_class_sums=np.ones_like(d),
         priors=np.asarray(priors, float),
         beta=beta,
         rho=rho,
@@ -223,7 +222,6 @@ def test_predict_applies_transform_exponent():
     clone = PldaModel(
         g_hat=model.g_hat,
         d_hat=model.d_hat,
-        n_hat_class_sums=model.n_hat_class_sums,
         priors=model.priors,
         beta=model.beta,
         rho=model.rho,
@@ -394,7 +392,7 @@ def test_cv_matches_per_rho_model_oracle(method, transform, prior_mode, grid):
     data = overdispersed_dataset()
     options = dict(method=method, prior_mode=prior_mode, transform=transform, beta=1.0)
     result = cross_validate(data, rho_grid=grid, folds=3, seed=7, **options)
-    rho_grid, errors, nonzero, selected, folds = per_rho_cross_validate(
+    rho_grid, errors, nonzero, selected, folds, fold_errors = per_rho_cross_validate(
         data, method, grid, 3, 7, prior_mode, transform, 1.0
     )
     assert np.array_equal(result.rho_grid, rho_grid)
@@ -402,11 +400,13 @@ def test_cv_matches_per_rho_model_oracle(method, transform, prior_mode, grid):
     assert np.array_equal(result.nonzero_features, nonzero)
     assert result.selected_rho == selected
     assert result.folds == folds
+    assert np.array_equal(result.fold_errors, fold_errors)
+    assert result.to_json()["fold_errors"] == fold_errors.tolist()
     assert len(set(errors.tolist())) > 1  # the grid changes the decisions
 
     refit = fit(data, rho=result.selected_rho, **options)
     model = result.model
-    for name in ("g_hat", "d_hat", "n_hat_class_sums", "priors"):
+    for name in ("g_hat", "d_hat", "priors"):
         assert np.array_equal(getattr(model, name), getattr(refit, name)), name
     for name in ("beta", "rho", "alpha", "class_names", "feature_ids"):
         assert getattr(model, name) == getattr(refit, name), name
