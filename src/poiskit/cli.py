@@ -41,7 +41,7 @@ from .dissimilarity import (
     sq_euclidean_dissimilarity_matrix,
     write_dissimilarity,
 )
-from .errors import PoiskitError, ValidationError
+from .errors import PoiskitError, ValidationError, in_file
 from .plda import (
     cross_validate,
     fit,
@@ -137,7 +137,8 @@ def cmd_simulate(args, out_dir: Path):
 
 def cmd_transform(args, out_dir: Path):
     matrix = _read_counts(args)
-    result = find_alpha(matrix)
+    with in_file(args.counts):
+        result = find_alpha(matrix)
     write_count_matrix(result.matrix, out_dir / "transformed.tsv")
     report = {
         "alpha": result.alpha,
@@ -177,7 +178,8 @@ def cmd_train(args, out_dir: Path):
 def cmd_predict(args, out_dir: Path):
     model = read_model(args.model)
     matrix = _read_counts(args)
-    predictions = predict_matrix(model, matrix)
+    with in_file(f"{args.counts} and {args.model}"):
+        predictions = predict_matrix(model, matrix)
     with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
         header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
         handle.write("\t".join(header) + "\n")
@@ -192,7 +194,9 @@ def cmd_predict(args, out_dir: Path):
         index_of = {name: k + 1 for k, name in enumerate(model.class_names)}
         unknown = [by_id[sid] for sid in matrix.sample_ids if by_id[sid] not in index_of]
         if unknown:
-            raise ValidationError(f"unknown class '{unknown[0]}' in labels")
+            raise ValidationError(
+                f"{args.labels} and {args.model}: unknown class '{unknown[0]}' in labels"
+            )
         truth = np.array([index_of[by_id[sid]] for sid in matrix.sample_ids])
         extra["errors"] = int((predictions.class_index != truth).sum())
         extra["n"] = matrix.n
@@ -276,7 +280,9 @@ def cmd_cer(args, out_dir: Path):
     ids_a, part_a = read_partition(args.partition_a)
     ids_b, part_b = read_partition(args.partition_b)
     if set(ids_a) != set(ids_b):
-        raise ValidationError("partitions cover different id sets")
+        raise ValidationError(
+            f"{args.partition_a} and {args.partition_b}: partitions cover different id sets"
+        )
     if ids_a != ids_b:
         lookup = {sid: part_b.assignments[i] for i, sid in enumerate(ids_b)}
         reordered = np.array([lookup[sid] for sid in ids_a])

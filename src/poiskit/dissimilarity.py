@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .count_matrix import CountMatrix, format_row, parse_rows, read_text
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, in_file
 from .size_factors import (
     canonical_method,
     check_statistics,
@@ -381,17 +381,6 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     The sidecar is consulted when present; otherwise measure and method are
     recorded as "unknown".
     """
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    header = lines[0].split("\t")
-    if header[0] != "id":
-        raise ParseError("first header cell must be 'id'", line=1)
-    ids = header[1:]
-    row_ids, values = parse_rows(lines, len(ids), lambda row_id, exc: str(exc))
-    del lines  # the text of an n x n file: free it before from_full copies the values
-    if row_ids != ids:
-        raise ValidationError("row ids do not match column ids")
     measure, method = "unknown", "unknown"
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
@@ -403,4 +392,16 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
             raise ValidationError(f"{sidecar}: sidecar must be a JSON object")
         measure = meta.get("measure", measure)
         method = meta.get("method", method)
-    return DissimilarityMatrix.from_full(values, ids, measure, method)
+    lines = read_text(path).splitlines()
+    with in_file(path):
+        if not lines:
+            raise ParseError("empty file", line=1)
+        header = lines[0].split("\t")
+        if header[0] != "id":
+            raise ParseError("first header cell must be 'id'", line=1)
+        ids = header[1:]
+        row_ids, values = parse_rows(lines, len(ids), lambda row_id, exc: str(exc))
+        del lines  # the text of an n x n file: free it before from_full copies the values
+        if row_ids != ids:
+            raise ValidationError("row ids do not match column ids")
+        return DissimilarityMatrix.from_full(values, ids, measure, method)

@@ -5,6 +5,8 @@ violates a method's preconditions (maps to CLI exit code 2). Anything else
 raised at runtime is treated as an execution failure (exit code 1).
 """
 
+from contextlib import contextmanager
+
 
 class PoiskitError(Exception):
     """Base class for all toolkit errors."""
@@ -22,3 +24,16 @@ class ParseError(ValidationError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+@contextmanager
+def in_file(path):
+    """Prefix ``<path>: `` to the message of a ValidationError raised in the block.
+
+    The error keeps its class, line and traceback.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -19,7 +19,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .count_matrix import CountMatrix, LabeledDataset, json_number, read_text
+from .count_matrix import (
+    CountMatrix,
+    LabeledDataset,
+    encode_floats,
+    json_floats,
+    json_number,
+    read_text,
+)
 from .errors import ParseError, ValidationError
 from .size_factors import (
     SizeFactors,
@@ -175,8 +182,8 @@ class PldaModel:
             "priors": self.priors.tolist(),
             "class_names": list(self.class_names),
             "feature_ids": list(self.feature_ids),
-            "g_hat": self.g_hat.tolist(),
-            "d_hat": self.d_hat.tolist(),
+            "g_hat": encode_floats(self.g_hat),
+            "d_hat": encode_floats(self.d_hat),
         }
 
     @staticmethod
@@ -187,9 +194,10 @@ class PldaModel:
             if not isinstance(obj[key], list) or not all(isinstance(s, str) for s in obj[key]):
                 raise ValidationError(f"{key} must be a list of strings")
         sf = None if obj["size_factors"] is None else SizeFactors.from_json(obj["size_factors"])
+        g_hat = json_floats(obj, "g_hat")
         return PldaModel(
-            g_hat=np.asarray(obj["g_hat"]),
-            d_hat=np.asarray(obj["d_hat"]),
+            g_hat=g_hat,
+            d_hat=json_floats(obj, "d_hat", shape=(len(obj["class_names"]), g_hat.size)),
             priors=np.asarray(obj["priors"]),
             beta=json_number(obj, "beta"),
             rho=json_number(obj, "rho"),

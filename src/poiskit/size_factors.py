@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_number, json_number
+from .count_matrix import CountMatrix, encode_floats, format_number, json_floats, json_number
 from .errors import ValidationError
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -66,10 +66,7 @@ class SizeFactors:
             raise ValidationError(f"unknown size-factor method '{self.method}'")
 
     def to_json(self) -> dict[str, Any]:
-        aux = {
-            key: (val.tolist() if isinstance(val, np.ndarray) else val)
-            for key, val in self.aux.items()
-        }
+        aux = {key: _aux_json(key, val) for key, val in self.aux.items()}
         return {"values": self.values.tolist(), "method": self.method, "aux": aux}
 
     @staticmethod
@@ -87,18 +84,25 @@ class SizeFactors:
         p = json_number(aux, "p")
         if not (p.is_integer() and p >= 1):
             raise ValidationError(f"aux p must be a positive integer, got {p}")
-        for key, dtype in _AUX_ARRAYS.items():
+        for key in ("geometric_means", "m", "q"):
             if key in aux:
-                aux[key] = np.asarray(aux[key], dtype=dtype)
-                if dtype is np.float64 and not np.all(np.isfinite(aux[key])):
+                aux[key] = json_floats(aux, key)
+                if not np.all(np.isfinite(aux[key])):
                     raise ValidationError(f"aux {key} must be finite")
+        if "usable" in aux:
+            aux["usable"] = np.asarray(aux["usable"], dtype=bool)
         for key in ("geometric_means", "usable") if method == "median-ratio" else ():
             if aux[key].shape != (p,):
                 raise ValidationError(f"aux {key} must hold {p:g} entries")
         return SizeFactors(np.asarray(obj["values"]), method, aux)
 
 
-_AUX_ARRAYS = {"geometric_means": np.float64, "usable": bool, "m": np.float64, "q": np.float64}
+def _aux_json(key: str, val):
+    """An ``aux`` entry as JSON: the per-feature geometric means as one base64 string."""
+    if key == "geometric_means":
+        return encode_floats(val)
+    return val.tolist() if isinstance(val, np.ndarray) else val
+
 
 _ZERO_STATISTIC = {
     "total-count": "zero total count",

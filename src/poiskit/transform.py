@@ -78,8 +78,9 @@ class Calibration(NamedTuple):
     values: np.ndarray
 
 
-def _positive_submatrix(values: np.ndarray) -> np.ndarray:
-    """``values`` without its zero-total rows and columns (``values`` itself if none)."""
+def _positive_submatrix(values: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """``values`` without its zero-total rows and columns, and the index that
+    selected them: ``(values, None)`` if none was dropped."""
     rows = values.sum(axis=1) > 0
     cols = values.sum(axis=0) > 0
     if rows.sum() < 2 or cols.sum() < 2:
@@ -88,8 +89,9 @@ def _positive_submatrix(values: np.ndarray) -> np.ndarray:
             "with positive totals"
         )
     if rows.all() and cols.all():
-        return values
-    return values[np.ix_(rows, cols)]
+        return values, None
+    kept = np.ix_(rows, cols)
+    return values[kept], kept
 
 
 def _pearson_stat(x: np.ndarray, work: np.ndarray) -> float:
@@ -113,7 +115,7 @@ def gof_statistic(matrix: CountMatrix) -> float:
 
     Compare to (n-1)(p-1) counted over positive-total rows and columns.
     """
-    sub = _positive_submatrix(matrix.values)
+    sub, _ = _positive_submatrix(matrix.values)
     return _pearson_stat(sub, np.empty_like(sub))
 
 
@@ -155,17 +157,15 @@ def calibrate(values: np.ndarray) -> Calibration:
     """The search of :func:`find_alpha` on a raw value array.
 
     ``values`` of the result is ``values ** alpha`` (``values`` itself at
-    alpha = 1). When no row or column was dropped and the last statistic
-    was computed at the returned exponent, that power is handed back
-    rather than computed again.
+    alpha = 1). When the last statistic was computed at the returned
+    exponent, that power is handed back rather than computed again, with
+    any dropped row or column filled with zeros (0 ** alpha is 0).
     """
-    sub = _positive_submatrix(values)
+    sub, kept = _positive_submatrix(values)
     n_pos, p_pos = sub.shape
     target = float((n_pos - 1) * (p_pos - 1))
     powered = np.empty_like(sub)
-    # the power is handed back only when nothing was dropped; otherwise
-    # the statistic may overwrite it, and ``sub`` is already a copy
-    work = np.empty_like(sub) if sub is values else powered
+    work = np.empty_like(sub)
     held = 1.0  # the exponent whose power ``powered`` holds
 
     def stat_of(alpha: float) -> float:
@@ -179,10 +179,13 @@ def calibrate(values: np.ndarray) -> Calibration:
     alpha, statistic, converged, seen = _search(stat_of, target)
     if alpha == 1.0:
         transformed = values
-    elif held == alpha and sub is values:
+    elif held != alpha:
+        transformed = values**alpha
+    elif kept is None:
         transformed = powered
     else:
-        transformed = values**alpha
+        transformed = np.zeros_like(values)
+        transformed[kept] = powered
     return Calibration(
         alpha, statistic, target, converged, _monotone(seen), len(seen), transformed
     )

@@ -1,5 +1,8 @@
 """CLI subcommands, exit codes, manifests, and file contracts."""
 
+import base64
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -279,27 +282,63 @@ def test_model_with_any_field_retyped_exits_0_or_2(trained, data):
     assert predict_with(root, edited(model, path, data.draw(_ODD_VALUES))) in (0, 2)
 
 
+_ENCODED = ("g_hat", "d_hat", "geometric_means")
+
+
+def decoded(text):
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def encoded(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def older(model):
+    """A parsed model file in the older form, with each base64 array as a JSON list."""
+    model = json.loads(json.dumps(model))
+    model["g_hat"] = decoded(model["g_hat"]).tolist()
+    model["d_hat"] = decoded(model["d_hat"]).reshape(len(model["class_names"]), -1).tolist()
+    aux = model["size_factors"]["aux"]
+    if "geometric_means" in aux:
+        aux["geometric_means"] = decoded(aux["geometric_means"]).tolist()
+    return model
+
+
 def _number_leaves(obj, prefix=()):
-    """Paths to each number of a model file; an array is stood for by its first element."""
+    """Paths to each number of a model file; an array is stood for by its first
+    element, and a base64 array by its own path."""
     for key, value in obj.items():
         path = prefix + (key,)
         while isinstance(value, list) and value:
             value, path = value[0], path + (0,)
         if isinstance(value, dict):
             yield from _number_leaves(value, path)
-        elif type(value) in (int, float):
+        elif type(value) in (int, float) or key in _ENCODED:
             yield path
+
+
+def with_number(model, path, value):
+    """``edited``, where a base64 array at ``path`` gets ``value`` as its first number."""
+    parent = model
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent[path[-1]], str):
+        values = decoded(parent[path[-1]])
+        values[0] = value
+        value = encoded(values)
+    return edited(model, path, value)
 
 
 @pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
 def test_model_with_non_finite_number_exits_2(trained, capsys, method):
     root, models = trained
-    paths = list(_number_leaves(models[method]))
-    assert ("g_hat", 0) in paths and ("size_factors", "aux", "p") in paths
-    for path in paths:
-        for value in (float("nan"), float("inf"), float("-inf")):
-            assert predict_with(root, edited(models[method], path, value)) == 2, (path, value)
-            assert f"{root / 'edited.json'}: " in capsys.readouterr().err, (path, value)
+    for model, array in ((models[method], ("g_hat",)), (older(models[method]), ("g_hat", 0))):
+        paths = list(_number_leaves(model))
+        assert array in paths and ("size_factors", "aux", "p") in paths
+        for path in paths:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                assert predict_with(root, with_number(model, path, value)) == 2, (path, value)
+                assert f"{root / 'edited.json'}: " in capsys.readouterr().err, (path, value)
 
 
 def test_model_json_holds_only_what_prediction_reads(trained):
@@ -318,10 +357,34 @@ def test_model_with_older_class_sums_key_predicts_the_same(trained):
         assert run("predict", "--counts", root / "counts.tsv", "--model", original,
                    "--out-dir", root / "p") == 0
         expected = (root / "p" / "predictions.tsv").read_bytes()
-        older = dict(model)
-        older["n_hat_class_sums"] = np.outer(np.arange(1.0, 4.0), model["g_hat"]).tolist()
-        assert predict_with(root, older) == 0
-        assert (root / "p" / "predictions.tsv").read_bytes() == expected
+        lists = older(model)
+        class_sums = np.outer(np.arange(1.0, 4.0), lists["g_hat"]).tolist()
+        for form in (lists, {**lists, "n_hat_class_sums": class_sums}):
+            assert predict_with(root, form) == 0
+            assert (root / "p" / "predictions.tsv").read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "path, text",
+    [
+        (("g_hat",), "not base64!"),
+        (("g_hat",), "AAAA=AAA"),
+        (("g_hat",), "é"),
+        (("g_hat",), encoded([1.0, 2.0])[:-4]),
+        (("d_hat",), base64.b64encode(b"\x00" * 12).decode()),
+        (("d_hat",), encoded(np.ones(3 * 150 - 1))),
+        (("d_hat",), encoded(np.ones((3, 151)))),
+        (("size_factors", "aux", "geometric_means"), "*"),
+        (("size_factors", "aux", "geometric_means"), encoded(np.ones(149))),
+    ],
+    ids=["alphabet", "padding", "non-ascii", "truncated", "12-bytes", "short", "long",
+         "means-alphabet", "means-short"],
+)
+def test_model_with_malformed_base64_array_exits_2(trained, capsys, path, text):
+    root, models = trained
+    assert predict_with(root, edited(models["median-ratio"], path, text)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {root / 'edited.json'}: " in err and path[-1] in err
 
 
 @pytest.mark.parametrize("kind", ["counts", "labels", "model", "dissim", "sidecar"])
@@ -350,6 +413,74 @@ def test_non_utf8_input_exits_2_naming_file_and_line(trained, tmp_path, capsys, 
     }[kind]
     assert run(*argv, "--out-dir", tmp_path / "out") == 2
     assert f"line {lineno}: invalid UTF-8 in {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["counts", "labels"])
+def test_train_parse_error_names_the_file(sim_dir, tmp_path, capsys, kind):
+    files = {"counts": sim_dir / "counts.tsv", "labels": sim_dir / "labels.tsv"}
+    lines = files[kind].read_text().splitlines()
+    lines[1] = lines[1].rsplit("\t", 1)[0]  # one cell short
+    bad = files[kind] = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("train", "--counts", files["counts"], "--labels", files["labels"],
+               "--out-dir", tmp_path / "t") == 2
+    columns = {"counts": "expected 151 columns, got 150", "labels": "expected 2 columns, got 1"}
+    assert f"error: {bad}: line 2: {columns[kind]}\n" == capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(trained):
+    """One valid file of each kind poiskit reads, and a command that reads it."""
+    root, _ = trained
+    assert run("dissim", "--counts", root / "counts.tsv", "--out-dir", root / "d") == 0
+    assert run("cluster", "--dissim", root / "d" / "dissim.tsv", "--cut-k", 3,
+               "--out-dir", root / "c") == 0
+    return root, {
+        "counts": lambda f: ["transform", "--counts", f],
+        "labels": lambda f: ["train", "--counts", root / "counts.tsv", "--labels", f],
+        "partition": lambda f: ["cer", "--partition-a", f,
+                                "--partition-b", root / "c" / "partition.tsv"],
+        "dissim": lambda f: ["cluster", "--dissim", f, "--cut-k", 3],
+        "sidecar": lambda f: ["cluster", "--dissim", str(f)[: -len(".json")], "--cut-k", 3],
+        "model": lambda f: ["predict", "--counts", root / "counts.tsv", "--model", f],
+    }, {
+        "counts": root / "counts.tsv", "labels": root / "labels.tsv",
+        "partition": root / "c" / "partition.tsv", "dissim": root / "d" / "dissim.tsv",
+        "sidecar": root / "d" / "dissim.tsv.json", "model": root / "median-ratio" / "model.json",
+    }
+
+
+_BYTES = st.one_of(st.sampled_from(b'\t\n\r -+.0159eEaNn"=/,[]{}:\xff'), st.integers(0, 255))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_input_file_exits_0_or_2_naming_it(valid_inputs, data):
+    root, commands, files = valid_inputs
+    kind = data.draw(st.sampled_from(sorted(files)))
+    text = files[kind].read_bytes()
+    at = data.draw(st.integers(0, len(text)))
+    edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "delete"]))
+    byte = bytes([data.draw(_BYTES)])
+    text = {
+        "truncate": text[:at],
+        "replace": text[:at] + byte + text[at + 1:],
+        "insert": text[:at] + byte + text[at:],
+        "delete": text[:at] + text[at + 1:],
+    }[edit]
+    folder = root / "damaged"
+    folder.mkdir(exist_ok=True)
+    damaged = folder / files[kind].name
+    damaged.write_bytes(text)
+    if kind == "sidecar":
+        (folder / "dissim.tsv").write_bytes(files["dissim"].read_bytes())
+    else:
+        (folder / "dissim.tsv.json").unlink(missing_ok=True)
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = run(*commands[kind](damaged), "--out-dir", root / "out")
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    assert code == 0 or str(damaged) in err, err
 
 
 def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):

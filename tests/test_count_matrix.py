@@ -71,7 +71,7 @@ def test_non_numeric_reports_line(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         read_count_matrix(path)
     assert str(excinfo.value) == (
-        "line 4: non-numeric cell in row 's2': could not convert string to float: '0x10'"
+        f"{path}: line 4: non-numeric cell in row 's2': could not convert string to float: '0x10'"
     )
 
 

@@ -422,7 +422,7 @@ def test_read_rejects_non_numeric_cell_with_line(tmp_path):
     path.write_text("id\ta\tb\n\na\t0\t1\nb\t1\tzero\n", encoding="utf-8")
     with pytest.raises(ParseError) as excinfo:
         read_dissimilarity(path)
-    assert str(excinfo.value) == "line 4: could not convert string to float: 'zero'"
+    assert str(excinfo.value) == f"{path}: line 4: could not convert string to float: 'zero'"
 
 
 def test_tsv_round_trip_with_sidecar(tmp_path):

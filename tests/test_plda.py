@@ -12,6 +12,7 @@ from oracles import per_rho_cross_validate, scalar_plda_scores, soft_threshold
 
 from poiskit.count_matrix import CountMatrix, LabeledDataset
 from poiskit.errors import ValidationError
+from poiskit.size_factors import SizeFactors
 from poiskit.simulate import SimulationConfig, simulate
 from poiskit.transform import calibrate
 from poiskit.plda import (
@@ -462,3 +463,39 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.alpha == model.alpha
     x = data.matrix.values[3]
     assert np.array_equal(predict(loaded, x).scores, predict(model, x).scores)
+
+
+def random_bits(rng, shape):
+    """Finite nonnegative float64s with random bit patterns, subnormals among them."""
+    bits = rng.integers(0, 0x7FF0_0000_0000_0000, size=shape, dtype=np.uint64)
+    values = bits.view(np.float64).ravel()
+    values[:3] = (5e-324, 2.5e-310, 1e300)
+    return values.reshape(shape)
+
+
+def test_model_file_round_trip_is_bitwise(tmp_path):
+    rng = np.random.default_rng(23)
+    K, p = 3, 500
+    g = random_bits(rng, p)
+    g[3] = -0.0
+    geometric_means = random_bits(rng, p)
+    factors = SizeFactors(
+        np.full(4, 0.25), "median-ratio",
+        {"geometric_means": geometric_means, "usable": np.ones(p, bool),
+         "m": np.ones(4), "m_sum": 4.0, "p": p},
+    )
+    with np.errstate(over="ignore"):  # the cached offsets d_hat @ g_hat overflow
+        model = PldaModel(
+            g_hat=g, d_hat=random_bits(rng, (K, p)) + 5e-324, priors=np.full(K, 1 / K),
+            beta=1.0, rho=0.0, size_factors=factors, alpha=1.0, class_names=("a", "b", "c"),
+        )
+        write_model(model, tmp_path / "model.json")
+        loaded = read_model(tmp_path / "model.json")
+    for before, after in [
+        (model.g_hat, loaded.g_hat), (model.d_hat, loaded.d_hat),
+        (geometric_means, loaded.size_factors.aux["geometric_means"]),
+    ]:
+        assert after.shape == before.shape
+        assert np.array_equal(after.view(np.uint64), before.view(np.uint64))
+    assert np.signbit(loaded.g_hat[3])
+

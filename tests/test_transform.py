@@ -184,7 +184,7 @@ def test_statistic_falls_with_alpha_and_search_finds_the_scan_bracket(n, p, phi,
     config = SimulationConfig(n=n, p=p, K=3, phi=phi, sigma=sigma, seed=seed)
     values = simulate(config).data.matrix.values
     try:
-        sub = _positive_submatrix(values)
+        sub, _ = _positive_submatrix(values)
     except ValidationError:
         assume(False)
     target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
@@ -203,7 +203,7 @@ def test_statistic_can_rise_near_alpha_min_below_the_crossing():
     # that of the zero pattern, which a sparse draw can push back up
     config = SimulationConfig(n=4, p=299, K=3, phi=0.05078125, sigma=0.0625, seed=2671)
     values = simulate(config).data.matrix.values
-    sub = _positive_submatrix(values)
+    sub, _ = _positive_submatrix(values)
     target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
     stats = grid_stats(sub)
     assert stats[0] > stats[1]
@@ -252,13 +252,17 @@ def test_search_warns_when_no_grid_point_reaches_the_target():
 def test_calibrate_hands_back_the_power_bit_for_bit():
     config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
     values = simulate(config).data.matrix.values
-    result = calibrate(values)
-    assert result.alpha < 1.0
-    assert np.array_equal(result.values, values**result.alpha)
     dropped = values.copy()
-    dropped[:, 3] = 0.0  # a silent feature: the power is computed on the full array
-    result = calibrate(dropped)
-    assert np.array_equal(result.values, dropped**result.alpha)
+    dropped[:, 3] = 0.0  # a silent feature: the power is scattered into zeros
+    signed = values.copy()
+    signed[4] = 0.0  # a silent observation
+    signed[:, 7] = -0.0  # a silent feature of -0.0
+    signed[[4, 6], 8] = -0.0  # -0.0 in the silent observation and in a kept cell
+    for draw in (values, dropped, signed):
+        result = calibrate(draw)
+        assert result.alpha < 1.0
+        expected = draw**result.alpha
+        assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
 
 
 def test_median_calibration_takes_at_most_five_evaluations():
