@@ -23,16 +23,17 @@ import numpy as np
 from . import __version__
 from .clustering import cer, cer_sweep, complete_linkage, cut_tree, write_newick
 from .count_matrix import (
-    Partition,
-    first_appearance_index,
+    check_cells,
     format_number,
+    labeled_dataset,
+    names_of,
+    partition_of,
     read_count_matrix,
     read_label_map,
-    read_labels,
-    read_partition,
     write_count_matrix,
     write_labels,
     write_partition,
+    write_two_column_tsv,
 )
 from .dissimilarity import (
     feature_dissimilarity_matrix,
@@ -51,7 +52,7 @@ from .plda import (
 )
 from .replicate import replicate_classification, replicate_clustering
 from .simulate import SimulationConfig, simulate, write_truth
-from .size_factors import canonical_method, write_size_factors
+from .size_factors import canonical_method
 from .transform import find_alpha
 
 
@@ -123,6 +124,14 @@ def _read_counts(args):
     return read_count_matrix(args.counts, orientation=args.orientation)
 
 
+def _read_labeled(args):
+    """The counts with their labels; a sample the labels lack names both files."""
+    matrix = _read_counts(args)
+    by_id = read_label_map(args.labels)
+    with in_file(f"{args.counts} and {args.labels}"):
+        return labeled_dataset(matrix, by_id)
+
+
 def cmd_simulate(args, out_dir: Path):
     config = SimulationConfig(
         n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
@@ -154,8 +163,7 @@ def cmd_transform(args, out_dir: Path):
 
 
 def cmd_train(args, out_dir: Path):
-    matrix = _read_counts(args)
-    data = read_labels(args.labels, matrix)
+    data = _read_labeled(args)
     model = fit(
         data,
         method=args.size_factors,
@@ -165,9 +173,8 @@ def cmd_train(args, out_dir: Path):
         transform=args.transform == "on",
     )
     write_model(model, out_dir / "model.json")
-    write_size_factors(
-        out_dir / "size_factors.tsv", matrix.sample_ids, model.size_factors
-    )
+    factors = map(format_number, model.size_factors.values)
+    write_two_column_tsv(out_dir / "size_factors.tsv", zip(data.matrix.sample_ids, factors))
     return [Path(args.counts), Path(args.labels)], {
         "alpha": model.alpha,
         "nonzero_features": model.nonzero_features(),
@@ -180,6 +187,9 @@ def cmd_predict(args, out_dir: Path):
     matrix = _read_counts(args)
     with in_file(f"{args.counts} and {args.model}"):
         predictions = predict_matrix(model, matrix)
+    with in_file(args.model):
+        # sample ids were read from a TSV; only the model's class names can break one
+        check_cells(model.class_names, "class name")
     with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
         header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
         handle.write("\t".join(header) + "\n")
@@ -190,14 +200,16 @@ def cmd_predict(args, out_dir: Path):
     inputs = [Path(args.model), Path(args.counts)]
     extra = {"outputs": ["predictions.tsv"]}
     if args.labels:
-        by_id = read_label_map(args.labels, matrix.sample_ids)
+        by_id = read_label_map(args.labels)
+        with in_file(f"{args.counts} and {args.labels}"):
+            names = names_of(by_id, matrix.sample_ids)
         index_of = {name: k + 1 for k, name in enumerate(model.class_names)}
-        unknown = [by_id[sid] for sid in matrix.sample_ids if by_id[sid] not in index_of]
+        unknown = [name for name in names if name not in index_of]
         if unknown:
             raise ValidationError(
                 f"{args.labels} and {args.model}: unknown class '{unknown[0]}' in labels"
             )
-        truth = np.array([index_of[by_id[sid]] for sid in matrix.sample_ids])
+        truth = np.array([index_of[name] for name in names])
         extra["errors"] = int((predictions.class_index != truth).sum())
         extra["n"] = matrix.n
         inputs.append(Path(args.labels))
@@ -205,8 +217,7 @@ def cmd_predict(args, out_dir: Path):
 
 
 def cmd_cv(args, out_dir: Path):
-    matrix = _read_counts(args)
-    data = read_labels(args.labels, matrix)
+    data = _read_labeled(args)
     grid = None
     if args.rho_grid:
         try:
@@ -266,9 +277,9 @@ def cmd_cluster(args, out_dir: Path):
     if args.sweep:
         if not args.labels:
             raise ValidationError("--sweep needs a --labels reference file")
-        by_id = read_label_map(args.labels, dm.ids)
-        index_of = first_appearance_index(by_id[sid] for sid in dm.ids)
-        reference = Partition(np.array([index_of[by_id[sid]] for sid in dm.ids]), len(index_of))
+        by_id = read_label_map(args.labels)
+        with in_file(f"{args.dissim} and {args.labels}"):
+            reference = partition_of(names_of(by_id, dm.ids))
         sweep = [{"k": k, "cer": value} for k, value in cer_sweep(dendrogram, reference)]
         _write_json(out_dir / "sweep.json", sweep)
         extra["outputs"].append("sweep.json")
@@ -277,17 +288,14 @@ def cmd_cluster(args, out_dir: Path):
 
 
 def cmd_cer(args, out_dir: Path):
-    ids_a, part_a = read_partition(args.partition_a)
-    ids_b, part_b = read_partition(args.partition_b)
-    if set(ids_a) != set(ids_b):
+    by_a = read_label_map(args.partition_a)
+    by_b = read_label_map(args.partition_b)
+    if by_a.keys() != by_b.keys():
         raise ValidationError(
             f"{args.partition_a} and {args.partition_b}: partitions cover different id sets"
         )
-    if ids_a != ids_b:
-        lookup = {sid: part_b.assignments[i] for i, sid in enumerate(ids_b)}
-        reordered = np.array([lookup[sid] for sid in ids_a])
-        part_b = Partition(reordered, part_b.num_clusters)
-    value = cer(part_a, part_b)
+    part_a = partition_of(by_a.values())
+    value = cer(part_a, partition_of(names_of(by_b, by_a)))
     report = {"cer": value, "n": part_a.n}
     _write_json(out_dir / "cer.json", report)
     print(json.dumps(report))
@@ -326,9 +334,7 @@ def cmd_replicate(args, out_dir: Path):
         )
         rows = [("mean_cer", summary["cer"]["mean"]), ("se_cer", summary["cer"]["se"])]
     _write_json(out_dir / "summary.json", summary)
-    with open(out_dir / "summary.tsv", "w", encoding="utf-8") as handle:
-        for name, value in rows:
-            handle.write(f"{name}\t{format_number(value)}\n")
+    write_two_column_tsv(out_dir / "summary.tsv", [(k, format_number(v)) for k, v in rows])
     print(headline)
     return [], {"outputs": ["summary.json", "summary.tsv"], "headline": headline}
 

@@ -10,14 +10,16 @@ literal ``id`` followed by the p feature ids; each data row starts with the
 sample id. Files laid out the other way around (features as rows, the usual
 genomics convention) are read with ``orientation="features"`` and transposed
 into canonical form. Labels and partition files are two tab-separated
-columns (id, name) without a header.
+columns (id, name) without a header. Each file shape (id-header table,
+two-column file, JSON input) is read and written in one place here.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,17 +111,13 @@ def first_appearance_index(names) -> dict[str, int]:
 class CountMatrix:
     """Immutable n x p matrix of nonnegative counts with axis identifiers.
 
-    Row sums, column sums, and the grand total are computed once at
-    construction and cached; the value array is marked read-only so the
-    caches can never go stale. Instances are safe to share across threads.
+    The value array is a read-only copy, so instances are safe to share
+    across threads.
     """
 
     values: np.ndarray
     sample_ids: tuple[str, ...]
     feature_ids: tuple[str, ...]
-    row_sums: np.ndarray = field(init=False, repr=False)
-    col_sums: np.ndarray = field(init=False, repr=False)
-    grand_total: float = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -154,13 +152,6 @@ class CountMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sample_ids", sample_ids)
         object.__setattr__(self, "feature_ids", feature_ids)
-        row_sums = values.sum(axis=1)
-        col_sums = values.sum(axis=0)
-        row_sums.flags.writeable = False
-        col_sums.flags.writeable = False
-        object.__setattr__(self, "row_sums", row_sums)
-        object.__setattr__(self, "col_sums", col_sums)
-        object.__setattr__(self, "grand_total", float(values.sum()))
 
     @property
     def n(self) -> int:
@@ -177,14 +168,6 @@ class CountMatrix:
     def transpose(self) -> "CountMatrix":
         """Swap the roles of samples and features."""
         return CountMatrix(self.values.T, self.feature_ids, self.sample_ids)
-
-    def equals(self, other: "CountMatrix") -> bool:
-        """Exact equality of values and identifiers."""
-        return (
-            self.sample_ids == other.sample_ids
-            and self.feature_ids == other.feature_ids
-            and np.array_equal(self.values, other.values)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +205,6 @@ class LabeledDataset:
             raise ValidationError(f"expected {self.K} class names, got {len(names)}")
         object.__setattr__(self, "class_names", names)
 
-    def class_indices(self, k: int) -> np.ndarray:
-        """Row indices of the samples in class k."""
-        return np.flatnonzero(self.labels == k)
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -257,42 +236,104 @@ def read_text(path: str | Path) -> str:
     """The text of a UTF-8 file.
 
     Bytes that are not UTF-8 raise :class:`ParseError` naming the file and
-    the line they are on.
+    the line they are on, counted as :func:`read_lines` counts lines.
     """
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise ParseError(f"invalid UTF-8 in {path}: {exc.reason}", line=line) from exc
 
 
-def _split_line(line: str) -> list[str]:
-    return line.rstrip("\n").rstrip("\r").split("\t")
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, split only at ``\\n``, ``\\r\\n`` and ``\\r``.
+
+    These are the universal newlines of ``open``. ``str.splitlines`` would
+    also split at characters that ids may hold, such as ``\\x0c`` and ``\\x85``.
+    """
+    text = read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line starts no line
+    return lines
 
 
-def parse_rows(lines: list[str], width: int, non_numeric) -> tuple[list[str], np.ndarray]:
+def read_json_object(path: str | Path, not_object: str) -> dict:
+    """The JSON object a UTF-8 file holds; ``not_object`` is the error for any other value."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: {not_object}")
+    return obj
+
+
+def check_cells(cells, kind: str) -> None:
+    """Reject the first of the strings ``cells`` that holds a tab or line break."""
+    joined = "".join(cells)
+    if "\t" in joined or "\n" in joined or "\r" in joined:
+        bad = next(c for c in cells if "\t" in c or "\n" in c or "\r" in c)
+        raise ValidationError(f"{kind} {bad!r} holds a tab or line break, which a TSV cell cannot")
+
+
+def parse_rows(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
     """Row ids and values of the data lines ``lines[1:]`` of an id-header TSV.
 
     Blank lines are skipped. Every other line must hold an id and ``width``
     numbers, which ``float`` must accept; the values fill one preallocated
     float64 array. A bad line raises :class:`ParseError` with its line
-    number: a numeric cell ``float`` rejects gets the message
-    ``non_numeric(row_id, exc)``.
+    number.
     """
     data = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
     values = np.empty((len(data), width))
     row_ids: list[str] = []
     for r, (lineno, raw) in enumerate(data):
-        cells = _split_line(raw)
+        cells = raw.split("\t")
         if len(cells) != width + 1:
             raise ParseError(f"expected {width + 1} columns, got {len(cells)}", line=lineno)
         row_ids.append(cells[0])
         try:
             values[r] = cells[1:]
         except ValueError as exc:
-            raise ParseError(non_numeric(cells[0], exc), line=lineno) from exc
+            raise ParseError(f"non-numeric cell in row '{cells[0]}': {exc}", line=lineno) from exc
     return row_ids, values
+
+
+def read_table(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+    """Column ids, row ids and values of an id-header TSV (counts, dissimilarities).
+
+    The header is the literal ``id`` and then the column ids; the file must
+    define at least one column and one row. Errors name the file.
+    """
+    lines = read_lines(path)
+    with in_file(path):
+        if not lines:
+            raise ParseError("empty file", line=1)
+        header = lines[0].split("\t")
+        if header[0] != "id":
+            raise ParseError(f"first header cell must be 'id', got '{header[0]}'", line=1)
+        col_ids = header[1:]
+        if not col_ids:
+            raise ParseError("header defines no data columns", line=1)
+        row_ids, values = parse_rows(lines, len(col_ids))
+        if not row_ids:
+            raise ParseError("file contains no data rows", line=2)
+    return col_ids, row_ids, values
+
+
+def write_table(path: str | Path, col_ids, row_ids, values: np.ndarray) -> None:
+    """Write the id-header TSV that :func:`read_table` reads back exactly."""
+    check_cells(col_ids, "id")
+    check_cells(row_ids, "id")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id\t" + "\t".join(col_ids) + "\n")
+        for row_id, row in zip(row_ids, values):
+            handle.write(f"{row_id}\t{format_row(row)}\n")
 
 
 def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMatrix:
@@ -308,21 +349,8 @@ def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMa
     """
     if orientation not in ("samples", "features"):
         raise ValidationError(f"unknown orientation '{orientation}'")
-    lines = read_text(path).splitlines()
+    col_ids, row_ids, values = read_table(path)
     with in_file(path):
-        if not lines:
-            raise ParseError("empty file", line=1)
-        header = _split_line(lines[0])
-        if header[0] != "id":
-            raise ParseError(f"first header cell must be 'id', got '{header[0]}'", line=1)
-        col_ids = header[1:]
-        if not col_ids:
-            raise ParseError("header defines no data columns", line=1)
-        row_ids, values = parse_rows(
-            lines, len(col_ids), lambda row_id, exc: f"non-numeric cell in row '{row_id}': {exc}"
-        )
-        if not row_ids:
-            raise ParseError("file contains no data rows", line=2)
         if orientation == "features":
             return CountMatrix(values.T, col_ids, row_ids)
         return CountMatrix(values, row_ids, col_ids)
@@ -330,22 +358,18 @@ def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMa
 
 def write_count_matrix(matrix: CountMatrix, path: str | Path) -> None:
     """Write a count matrix as TSV; re-reading reproduces it exactly."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("id\t" + "\t".join(matrix.feature_ids) + "\n")
-        for i, sid in enumerate(matrix.sample_ids):
-            handle.write(f"{sid}\t{format_row(matrix.values[i])}\n")
+    write_table(path, matrix.feature_ids, matrix.sample_ids, matrix.values)
 
 
 def read_two_column_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read an (id, name) file, preserving order; rejects malformed rows."""
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     pairs: list[tuple[str, str]] = []
     with in_file(path):
         for lineno, raw in enumerate(lines, start=1):
             if raw == "":
                 continue
-            cells = _split_line(raw)
+            cells = raw.split("\t")
             if len(cells) != 2:
                 raise ParseError(f"expected 2 columns, got {len(cells)}", line=lineno)
             pairs.append((cells[0], cells[1]))
@@ -355,27 +379,45 @@ def read_two_column_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 
 def write_two_column_tsv(path: str | Path, pairs) -> None:
+    """Write (id, name) pairs, one line each, for :func:`read_two_column_tsv`."""
+    pairs = list(pairs)
+    check_cells([left for left, _ in pairs], "id")
+    check_cells([right for _, right in pairs], "name")
     with open(path, "w", encoding="utf-8") as handle:
-        for left, right in pairs:
-            handle.write(f"{left}\t{right}\n")
+        handle.writelines(f"{left}\t{right}\n" for left, right in pairs)
 
 
-def read_label_map(path: str | Path, ids) -> dict[str, str]:
-    """A labels file as an id -> name dict, in file order.
-
-    No id may be labeled twice, and every id in ``ids`` must be labeled.
-    """
+def read_label_map(path: str | Path) -> dict[str, str]:
+    """A labels or partition file as an id -> name dict in file order; no id may appear twice."""
     by_id: dict[str, str] = {}
     pairs = read_two_column_tsv(path)
     with in_file(path):
-        for sid, cname in pairs:
+        for sid, name in pairs:
             if sid in by_id:
                 raise ValidationError(f"sample '{sid}' labeled more than once")
-            by_id[sid] = cname
-        missing = [sid for sid in ids if sid not in by_id]
-        if missing:
-            raise ValidationError(f"no label for sample '{missing[0]}'")
+            by_id[sid] = name
     return by_id
+
+
+def names_of(by_id: dict[str, str], ids) -> list[str]:
+    """The name ``by_id`` gives each of ``ids``; an id it lacks is an error."""
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise ValidationError(f"no label for sample '{missing[0]}'")
+    return [by_id[sid] for sid in ids]
+
+
+def labeled_dataset(matrix: CountMatrix, by_id: dict[str, str]) -> LabeledDataset:
+    """``matrix`` labeled by ``by_id``; classes are numbered by first appearance in it."""
+    index_of = first_appearance_index(by_id.values())
+    labels = [index_of[name] for name in names_of(by_id, matrix.sample_ids)]
+    return LabeledDataset(matrix, labels, K=len(index_of), class_names=tuple(index_of))
+
+
+def partition_of(names) -> Partition:
+    """Cluster names (a list or dict view) as a partition, numbered by first appearance."""
+    index_of = first_appearance_index(names)
+    return Partition([index_of[name] for name in names], len(index_of))
 
 
 def read_labels(path: str | Path, matrix: CountMatrix) -> LabeledDataset:
@@ -384,32 +426,21 @@ def read_labels(path: str | Path, matrix: CountMatrix) -> LabeledDataset:
     Class names map to indices 1..K in order of first appearance in the
     file. Every sample in the matrix must be labeled exactly once.
     """
-    by_id = read_label_map(path, matrix.sample_ids)
-    index_of = first_appearance_index(by_id.values())
-    labels = [index_of[by_id[sid]] for sid in matrix.sample_ids]
+    by_id = read_label_map(path)
     with in_file(path):
-        return LabeledDataset(matrix, labels, K=len(index_of), class_names=tuple(index_of))
+        return labeled_dataset(matrix, by_id)
 
 
 def write_labels(path: str | Path, dataset: LabeledDataset) -> None:
-    pairs = [
-        (sid, dataset.class_names[dataset.labels[i] - 1])
-        for i, sid in enumerate(dataset.matrix.sample_ids)
-    ]
-    write_two_column_tsv(path, pairs)
+    names = [dataset.class_names[k - 1] for k in dataset.labels]
+    write_two_column_tsv(path, zip(dataset.matrix.sample_ids, names))
 
 
 def read_partition(path: str | Path) -> tuple[list[str], Partition]:
     """Read an (id, cluster) file; cluster names index by first appearance."""
-    pairs = read_two_column_tsv(path)
-    ids = [sid for sid, _ in pairs]
-    with in_file(path):
-        _check_unique(tuple(ids), "sample")
-    index_of = first_appearance_index(cname for _, cname in pairs)
-    assignments = np.array([index_of[cname] for _, cname in pairs], dtype=np.int64)
-    return ids, Partition(assignments, num_clusters=len(index_of))
+    by_id = read_label_map(path)
+    return list(by_id), partition_of(by_id.values())
 
 
 def write_partition(path: str | Path, ids, partition: Partition) -> None:
-    pairs = [(sid, str(int(c))) for sid, c in zip(ids, partition.assignments)]
-    write_two_column_tsv(path, pairs)
+    write_two_column_tsv(path, [(sid, str(int(c))) for sid, c in zip(ids, partition.assignments)])

@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, format_row, parse_rows, read_text
-from .errors import ParseError, ValidationError, in_file
+from .count_matrix import CountMatrix, read_json_object, read_table, write_table
+from .errors import ValidationError, in_file
 from .size_factors import (
     canonical_method,
     check_statistics,
@@ -48,13 +48,6 @@ from .transform import find_alpha
 
 MEASURES = ("poisson", "sq-euclidean")
 _TILE_ELEMENTS = 32_768
-
-
-def condensed_index(i: int, j: int, n: int) -> int:
-    """Linear index of pair (i, j), i < j, in condensed storage."""
-    if not 0 <= i < j < n:
-        raise ValidationError(f"invalid pair ({i}, {j}) for n={n}")
-    return n * i - (i * (i + 1)) // 2 + (j - i - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +76,6 @@ class DissimilarityMatrix:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self.condensed[condensed_index(i, j, self.n)])
 
     def full(self) -> np.ndarray:
         """Materialize the symmetric n x n matrix."""
@@ -363,16 +349,9 @@ def feature_dissimilarity_matrix(
 
 def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:
     """Full symmetric TSV plus a JSON sidecar recording measure and method."""
-    path = Path(path)
-    full = dm.full()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("id\t" + "\t".join(dm.ids) + "\n")
-        for i, sid in enumerate(dm.ids):
-            handle.write(sid + "\t" + format_row(full[i]) + "\n")
+    write_table(path, dm.ids, dm.ids, dm.full())
     sidecar = {"measure": dm.measure, "method": dm.method, "n": dm.n}
-    with open(str(path) + ".json", "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle)
-        handle.write("\n")
+    Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n", encoding="utf-8")
 
 
 def read_dissimilarity(path) -> DissimilarityMatrix:
@@ -384,24 +363,11 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     measure, method = "unknown", "unknown"
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
-        try:
-            meta = json.loads(read_text(sidecar))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {sidecar}: {exc.msg}", line=exc.lineno) from exc
-        if not isinstance(meta, dict):
-            raise ValidationError(f"{sidecar}: sidecar must be a JSON object")
+        meta = read_json_object(sidecar, "sidecar must be a JSON object")
         measure = meta.get("measure", measure)
         method = meta.get("method", method)
-    lines = read_text(path).splitlines()
+    ids, row_ids, values = read_table(path)
     with in_file(path):
-        if not lines:
-            raise ParseError("empty file", line=1)
-        header = lines[0].split("\t")
-        if header[0] != "id":
-            raise ParseError("first header cell must be 'id'", line=1)
-        ids = header[1:]
-        row_ids, values = parse_rows(lines, len(ids), lambda row_id, exc: str(exc))
-        del lines  # the text of an n x n file: free it before from_full copies the values
         if row_ids != ids:
             raise ValidationError("row ids do not match column ids")
         return DissimilarityMatrix.from_full(values, ids, measure, method)

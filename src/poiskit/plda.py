@@ -25,9 +25,9 @@ from .count_matrix import (
     encode_floats,
     json_floats,
     json_number,
-    read_text,
+    read_json_object,
 )
-from .errors import ParseError, ValidationError
+from .errors import ValidationError, in_file
 from .size_factors import (
     SizeFactors,
     canonical_method,
@@ -584,15 +584,11 @@ def write_model(model: PldaModel, path) -> None:
 
 def read_model(path) -> PldaModel:
     """Load a model file; malformed content raises an error naming the file."""
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
-    try:
-        return PldaModel.from_json(obj)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: model has no {exc} field") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # an array field numpy cannot convert
-        raise ValidationError(f"{path}: malformed model: {exc}") from exc
+    obj = read_json_object(path, "not a classifier model file")
+    with in_file(path):
+        try:
+            return PldaModel.from_json(obj)
+        except KeyError as exc:
+            raise ValidationError(f"model has no {exc} field") from exc
+        except (TypeError, ValueError) as exc:  # an array field numpy cannot convert
+            raise ValidationError(f"malformed model: {exc}") from exc

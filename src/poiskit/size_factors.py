@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .count_matrix import CountMatrix, encode_floats, format_number, json_floats, json_number
+from .count_matrix import CountMatrix, encode_floats, json_floats, json_number
 from .errors import ValidationError
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -213,10 +213,3 @@ def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float
     if x_star.ndim != 1:
         raise ValidationError("test observation must be a vector")
     return float(estimate_test_size_factors(factors, x_star[None, :])[0])
-
-
-def write_size_factors(path, sample_ids, factors: SizeFactors) -> None:
-    """Two-column TSV: sample id, normalized factor."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for sid, value in zip(sample_ids, factors.values):
-            handle.write(f"{sid}\t{format_number(value)}\n")

@@ -16,6 +16,15 @@ from poiskit.count_matrix import CountMatrix, LabeledDataset
 from poiskit.plda import PldaModel, _fit_stats, default_rho_grid, predict, stratified_folds
 
 
+def same_counts(a: CountMatrix, b: CountMatrix) -> bool:
+    """Exact equality of two count matrices: values and both id tuples."""
+    return (
+        a.sample_ids == b.sample_ids
+        and a.feature_ids == b.feature_ids
+        and np.array_equal(a.values, b.values)
+    )
+
+
 def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0), elementwise."""
     x = np.asarray(x, dtype=np.float64)

@@ -170,10 +170,10 @@ def test_criterion_7_classifier_identities():
     )
     sparse_zero = fit(data, rho=0.0, transform=False)
     s = sparse_zero.size_factors.values
-    s_class = np.array([s[data.class_indices(k)].sum() for k in (1, 2, 3)])
+    s_class = np.array([s[data.labels == k].sum() for k in (1, 2, 3)])
     b = np.outer(s_class, sparse_zero.g_hat) + sparse_zero.beta
     a = np.vstack(
-        [values[data.class_indices(k)].sum(axis=0) for k in (1, 2, 3)]
+        [values[data.labels == k].sum(axis=0) for k in (1, 2, 3)]
     ) + sparse_zero.beta
     plain = PldaModel(
         g_hat=sparse_zero.g_hat,

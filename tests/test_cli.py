@@ -145,10 +145,36 @@ def test_duplicate_label_exits_2_in_every_command(sim_dir, tmp_path, capsys):
          "--labels", twice),
         ("cluster", "--dissim", tmp_path / "d" / "dissim.tsv", "--cut-k", 3, "--sweep",
          "--labels", twice),
+        ("cer", "--partition-a", sim_dir / "labels.tsv", "--partition-b", twice),
     ]
     for command in commands:
         assert run(*command, "--out-dir", tmp_path / "x") == 2
         assert "sample 's1' labeled more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "predict", "cluster"])
+def test_sample_missing_from_labels_names_both_files(trained, tmp_path, capsys, command):
+    root, _ = trained
+    counts, labels = root / "counts.tsv", root / "labels.tsv"
+    lines = labels.read_text().splitlines()
+    short = tmp_path / "short.tsv"
+    short.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    missing = lines[-1].split("\t")[0]
+    dissim = tmp_path / "d" / "dissim.tsv"
+    if command == "cluster":
+        assert run("dissim", "--counts", counts, "--out-dir", dissim.parent) == 0
+    argv = {
+        "train": ["train", "--counts", counts, "--labels", short],
+        "cv": ["cv", "--counts", counts, "--labels", short],
+        "predict": ["predict", "--counts", counts,
+                    "--model", root / "total-count" / "model.json", "--labels", short],
+        "cluster": ["cluster", "--dissim", dissim, "--cut-k", 3, "--sweep", "--labels", short],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    source = dissim if command == "cluster" else counts
+    expected = f"error: {source} and {short}: no label for sample '{missing}'\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_predict_wrong_feature_count(sim_dir, tmp_path):
@@ -339,6 +365,18 @@ def test_model_with_non_finite_number_exits_2(trained, capsys, method):
             for value in (float("nan"), float("inf"), float("-inf")):
                 assert predict_with(root, with_number(model, path, value)) == 2, (path, value)
                 assert f"{root / 'edited.json'}: " in capsys.readouterr().err, (path, value)
+
+
+@pytest.mark.parametrize("name", ["c\t2", "c\n2", "c\r2"])
+def test_class_name_a_tsv_cannot_hold_exits_2_naming_it(trained, capsys, name):
+    root, models = trained
+    model = edited(models["total-count"], ("class_names",), ["c1", name, "c3"])
+    assert predict_with(root, model) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {root / 'edited.json'}: class name {name!r} holds a tab or line break, "
+        "which a TSV cell cannot\n"
+    )
 
 
 def test_model_json_holds_only_what_prediction_reads(trained):

@@ -17,7 +17,6 @@ from poiskit.dissimilarity import (
     _POISSON_BUFFERS,
     _TILE_ELEMENTS,
     DissimilarityMatrix,
-    condensed_index,
     feature_dissimilarity_matrix,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
@@ -168,16 +167,17 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
             dm = feature_dissimilarity_matrix(
                 m, "poisson", method, beta, transform=False, threads=threads
             )
+        full = dm.full()
         for (i, j), (ref, pair) in expected.items():
-            assert dm.get(i, j) == pytest.approx(ref, rel=1e-10)
-            assert dm.get(i, j) == pair
+            assert full[i, j] == pytest.approx(ref, rel=1e-10)
+            assert full[i, j] == pair
 
 
 def test_matrix_identical_rows_entry_zero():
     m = matrix([[3, 4, 5], [3, 4, 5], [9, 1, 2]])
     dm = poisson_dissimilarity_matrix(m, transform=False)
-    assert dm.get(0, 1) == 0.0
-    assert dm.get(0, 2) > 0.0
+    assert dm.full()[0, 1] == 0.0
+    assert dm.full()[0, 2] > 0.0
 
 
 def test_matrix_transform_is_estimated_once_globally():
@@ -356,11 +356,11 @@ def test_sq_euclidean_cases():
     one_feature = matrix([[2.0], [4.0]])
     dm = sq_euclidean_dissimilarity_matrix(one_feature)
     # factors are (1/3, 2/3); scaled rows (6, 6) coincide
-    assert dm.get(0, 1) == pytest.approx(0.0)
+    assert dm.full()[0, 1] == pytest.approx(0.0)
     equal_rows = matrix([[2.0, 2.0], [4.0, 0.0]])
     dm2 = sq_euclidean_dissimilarity_matrix(equal_rows)
     # equal totals mean factors 0.5 each: (4-8)^2 + (4-0)^2 = 32
-    assert dm2.get(0, 1) == pytest.approx(32.0)
+    assert dm2.full()[0, 1] == pytest.approx(32.0)
 
 
 def test_sq_euclidean_quadratic_scaling():
@@ -385,7 +385,7 @@ def test_feature_matrix_equals_transposed_computation():
 def test_two_identical_features_are_indistinguishable():
     values = np.array([[2.0, 2.0, 9.0], [5.0, 5.0, 1.0], [7.0, 7.0, 4.0]])
     dm = feature_dissimilarity_matrix(matrix(values), "poisson", transform=False)
-    assert dm.get(0, 1) == 0.0
+    assert dm.full()[0, 1] == 0.0
 
 
 # --- storage and I/O ---
@@ -399,13 +399,12 @@ def test_condensed_layout_round_trip():
     full = dm.full()
     assert np.array_equal(full, full.T)
     assert np.all(np.diag(full) == 0)
-    for i in range(n):
-        for j in range(n):
-            assert dm.get(i, j) == full[i, j]
+    # pair (i, j), i < j, lives at n*i - i*(i+1)/2 + (j - i - 1): row by row
     k = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
-            assert condensed_index(i, j, n) == k
+            assert n * i - i * (i + 1) // 2 + (j - i - 1) == k
+            assert full[i, j] == full[j, i] == condensed[k]
             k += 1
 
 
@@ -422,7 +421,9 @@ def test_read_rejects_non_numeric_cell_with_line(tmp_path):
     path.write_text("id\ta\tb\n\na\t0\t1\nb\t1\tzero\n", encoding="utf-8")
     with pytest.raises(ParseError) as excinfo:
         read_dissimilarity(path)
-    assert str(excinfo.value) == f"{path}: line 4: could not convert string to float: 'zero'"
+    assert str(excinfo.value) == (
+        f"{path}: line 4: non-numeric cell in row 'b': could not convert string to float: 'zero'"
+    )
 
 
 def test_tsv_round_trip_with_sidecar(tmp_path):

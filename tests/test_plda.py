@@ -84,9 +84,9 @@ def test_rho_zero_matches_posterior_mean_formula_bitwise():
     data = random_dataset(0)
     model = fit(data, rho=0.0, transform=False)
     factors = model.size_factors
-    g = data.matrix.col_sums
+    g = data.matrix.values.sum(axis=0)
     for k in range(1, data.K + 1):
-        idx = data.class_indices(k)
+        idx = np.flatnonzero(data.labels == k)
         a = data.matrix.values[idx].sum(axis=0) + model.beta
         b = factors.values[idx].sum() * g + model.beta
         assert np.array_equal(model.d_hat[k - 1], a / b)
@@ -98,8 +98,8 @@ def test_zero_class_count_keeps_ratio_positive():
     model = fit(data, rho=0.0, transform=False)
     assert np.all(model.d_hat > 0)
     # class 1 never saw feature 2: ratio is beta / (offset + beta) < 1
-    idx = data.class_indices(1)
-    offset = model.size_factors.values[idx].sum() * data.matrix.col_sums[1]
+    idx = np.flatnonzero(data.labels == 1)
+    offset = model.size_factors.values[idx].sum() * data.matrix.values.sum(axis=0)[1]
     assert model.d_hat[0, 1] == pytest.approx(1.0 / (offset + 1.0))
 
 
