@@ -190,13 +190,6 @@ def cmd_predict(args, out_dir: Path):
     with in_file(args.model):
         # sample ids were read from a TSV; only the model's class names can break one
         check_cells(model.class_names, "class name")
-    with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
-        header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
-        handle.write("\t".join(header) + "\n")
-        rows = zip(matrix.sample_ids, predictions.class_index, predictions.posterior)
-        for sid, k, posterior in rows:
-            cells = [sid, model.class_names[k - 1]] + [format_number(v) for v in posterior]
-            handle.write("\t".join(cells) + "\n")
     inputs = [Path(args.model), Path(args.counts)]
     extra = {"outputs": ["predictions.tsv"]}
     if args.labels:
@@ -213,6 +206,13 @@ def cmd_predict(args, out_dir: Path):
         extra["errors"] = int((predictions.class_index != truth).sum())
         extra["n"] = matrix.n
         inputs.append(Path(args.labels))
+    with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
+        header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
+        handle.write("\t".join(header) + "\n")
+        rows = zip(matrix.sample_ids, predictions.class_index, predictions.posterior)
+        for sid, k, posterior in rows:
+            cells = [sid, model.class_names[k - 1]] + [format_number(v) for v in posterior]
+            handle.write("\t".join(cells) + "\n")
     return inputs, extra
 
 
@@ -269,9 +269,7 @@ def cmd_dissim(args, out_dir: Path):
 def cmd_cluster(args, out_dir: Path):
     dm = read_dissimilarity(args.dissim)
     dendrogram = complete_linkage(dm)
-    write_newick(dendrogram, out_dir / "tree.newick")
     partition = cut_tree(dendrogram, args.cut_k)
-    write_partition(out_dir / "partition.tsv", dm.ids, partition)
     inputs = [Path(args.dissim)]
     extra = {"outputs": ["tree.newick", "partition.tsv"]}
     if args.sweep:
@@ -281,9 +279,12 @@ def cmd_cluster(args, out_dir: Path):
         with in_file(f"{args.dissim} and {args.labels}"):
             reference = partition_of(names_of(by_id, dm.ids))
         sweep = [{"k": k, "cer": value} for k, value in cer_sweep(dendrogram, reference)]
-        _write_json(out_dir / "sweep.json", sweep)
         extra["outputs"].append("sweep.json")
         inputs.append(Path(args.labels))
+    write_newick(dendrogram, out_dir / "tree.newick")
+    write_partition(out_dir / "partition.tsv", dm.ids, partition)
+    if args.sweep:
+        _write_json(out_dir / "sweep.json", sweep)
     return inputs, extra
 
 

@@ -90,7 +90,8 @@ def json_floats(obj: dict, key: str, shape: tuple[int, ...] | None = None) -> np
     return floats.reshape(shape)
 
 
-def _check_unique(ids: tuple[str, ...], axis: str) -> None:
+def check_unique(ids, axis: str) -> None:
+    """Reject the first id of ``ids`` that repeats an earlier one, naming its ``axis``."""
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         for name in ids:
@@ -132,8 +133,8 @@ class CountMatrix:
             raise ValidationError(f"expected {n} sample ids, got {len(sample_ids)}")
         if len(feature_ids) != p:
             raise ValidationError(f"expected {p} feature ids, got {len(feature_ids)}")
-        _check_unique(sample_ids, "sample")
-        _check_unique(feature_ids, "feature")
+        check_unique(sample_ids, "sample")
+        check_unique(feature_ids, "feature")
         bad = ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -281,15 +282,54 @@ def check_cells(cells, kind: str) -> None:
         raise ValidationError(f"{kind} {bad!r} holds a tab or line break, which a TSV cell cannot")
 
 
+# numpy's reader strips these from the ends of a cell as whitespace; float() does not
+_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _loadtxt_rows(data: list[str], width: int):
+    """Row ids and values of the data lines ``data`` by numpy's C reader, or None.
+
+    Where this returns values, they are the float64 bits that ``float`` gives
+    each cell: both parse the ASCII core of a cell with ``PyOS_string_to_double``.
+    None means the reader cannot vouch for them: no lines, a line without
+    ``width`` tabs or with nothing after its id, a cell holding one of
+    ``_NOT_FLOAT_SPACE``, a cell the reader rejects (such as ``1_0`` or a
+    Unicode digit, which ``float`` accepts), or a result of another shape.
+    The lines hold no line breaks, as :func:`read_lines` gives them. Every
+    line handed to the reader holds text, so it skips none and has no cause
+    to warn; the warnings filters are left alone, as they are process-wide.
+    """
+    row_ids, bodies = [], []
+    for raw in data:
+        row_id, _, body = raw.partition("\t")
+        if not body or body.count("\t") != width - 1 or any(c in body for c in _NOT_FLOAT_SPACE):
+            return None
+        row_ids.append(row_id)
+        bodies.append(body)
+    if not bodies:
+        return None
+    try:
+        values = np.loadtxt(
+            bodies, delimiter="\t", comments=None, quotechar=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError:
+        return None
+    return (row_ids, values) if values.shape == (len(data), width) else None
+
+
 def parse_rows(lines: list[str], width: int) -> tuple[list[str], np.ndarray]:
     """Row ids and values of the data lines ``lines[1:]`` of an id-header TSV.
 
     Blank lines are skipped. Every other line must hold an id and ``width``
-    numbers, which ``float`` must accept; the values fill one preallocated
-    float64 array. A bad line raises :class:`ParseError` with its line
-    number.
+    numbers, which ``float`` must accept. The whole table is first offered to
+    numpy's C reader; where it cannot vouch for the values, each line is
+    parsed by ``float`` into one preallocated float64 array, and a bad line
+    raises :class:`ParseError` with its line number.
     """
     data = [(lineno, raw) for lineno, raw in enumerate(lines[1:], start=2) if raw != ""]
+    fast = _loadtxt_rows([raw for _, raw in data], width)
+    if fast is not None:
+        return fast
     values = np.empty((len(data), width))
     row_ids: list[str] = []
     for r, (lineno, raw) in enumerate(data):

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, read_json_object, read_table, write_table
+from .count_matrix import CountMatrix, check_unique, read_json_object, read_table, write_table
 from .errors import ValidationError, in_file
 from .size_factors import (
     canonical_method,
@@ -64,8 +64,7 @@ class DissimilarityMatrix:
         n = len(self.ids)
         if n < 1 or condensed.shape != (n * (n - 1) // 2,):
             raise ValidationError("condensed length does not match id count")
-        if len(set(self.ids)) != n:
-            raise ValidationError("ids must be unique")
+        check_unique(self.ids, "observation")
         if condensed.size and (not np.all(np.isfinite(condensed)) or condensed.min() < 0):
             raise ValidationError("dissimilarities must be finite and nonnegative")
         condensed = condensed + 0.0  # a copy, with any -0.0 turned into 0.0

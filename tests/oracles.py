@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from poiskit.count_matrix import CountMatrix, LabeledDataset
+from poiskit.errors import ParseError
 from poiskit.plda import PldaModel, _fit_stats, default_rho_grid, predict, stratified_folds
 
 
@@ -23,6 +24,33 @@ def same_counts(a: CountMatrix, b: CountMatrix) -> bool:
         and a.feature_ids == b.feature_ids
         and np.array_equal(a.values, b.values)
     )
+
+
+def per_line_table_rows(lines, width):
+    """Row ids and values of the data lines ``lines[1:]`` of an id-header table.
+
+    The reference for ``parse_rows``: one ``float`` call per cell. Blank lines
+    are skipped; a line without ``width`` + 1 tab-separated cells, or with a
+    cell ``float`` rejects, raises ``ParseError`` with its line number.
+    """
+    row_ids, rows = [], []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw == "":
+            continue
+        cells = raw.split("\t")
+        if len(cells) != width + 1:
+            raise ParseError(f"expected {width + 1} columns, got {len(cells)}", line=lineno)
+        row = []
+        for cell in cells[1:]:
+            try:
+                row.append(float(cell))
+            except ValueError as exc:
+                raise ParseError(
+                    f"non-numeric cell in row '{cells[0]}': {exc}", line=lineno
+                ) from exc
+        row_ids.append(cells[0])
+        rows.append(row)
+    return row_ids, np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def soft_threshold(x, t):

@@ -129,6 +129,7 @@ def test_predict_unknown_class_in_labels(sim_dir, tmp_path):
         "predict", "--counts", sim_dir / "counts.tsv", "--model", train_dir / "model.json",
         "--labels", bad, "--out-dir", tmp_path / "px",
     ) == 2
+    assert not (tmp_path / "px" / "predictions.tsv").exists()
 
 
 def test_duplicate_label_exits_2_in_every_command(sim_dir, tmp_path, capsys):
@@ -175,6 +176,8 @@ def test_sample_missing_from_labels_names_both_files(trained, tmp_path, capsys, 
     source = dissim if command == "cluster" else counts
     expected = f"error: {source} and {short}: no label for sample '{missing}'\n"
     assert capsys.readouterr().err == expected
+    # inputs are checked before any output is opened
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_predict_wrong_feature_count(sim_dir, tmp_path):

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import same_counts
+from oracles import per_line_table_rows, same_counts
 
 from poiskit.count_matrix import (
     CountMatrix,
     LabeledDataset,
     Partition,
+    _loadtxt_rows,
     first_appearance_index,
     format_number,
+    parse_rows,
     read_count_matrix,
     read_label_map,
     read_labels,
@@ -69,9 +71,14 @@ def test_ragged_row_reports_line(tmp_path):
         read_count_matrix(path)
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_numeric_reports_line(tmp_path):
     path = write(tmp_path, "id\tf1\ns1\tone\n")
     with pytest.raises(ParseError, match="line 2"):
+        read_count_matrix(path)
+    # an empty last cell on every line, which numpy's reader would skip as a blank line
+    path = write(tmp_path, "id\tf1\ns1\t\n")
+    with pytest.raises(ParseError, match="^.*: line 2: non-numeric cell in row 's1': .* ''$"):
         read_count_matrix(path)
     # a blank line still counts, and the message is float()'s
     path = write(tmp_path, "id\tf1\tf2\ns1\t1\t2\n\ns2\t3\t0x10\n")
@@ -86,6 +93,15 @@ def test_bad_header_rejected(tmp_path):
     path = write(tmp_path, "gene\tf1\ns1\t1\n")
     with pytest.raises(ParseError, match="line 1"):
         read_count_matrix(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_without_rows_rejected(tmp_path):
+    for text in ("id\tf1\n", "id\tf1\n\n\n"):
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as excinfo:
+            read_count_matrix(path)
+        assert str(excinfo.value) == f"{path}: line 2: file contains no data rows"
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -311,6 +327,71 @@ def test_crlf_and_lone_cr_files_read_like_their_lf_twins(tmp_path):
         path.write_bytes(path.read_bytes().replace(b"x", b"\xff"))
         with pytest.raises(ParseError, match="^line 4: invalid UTF-8 in "):
             read_count_matrix(path)
+
+
+# Cells that float() and numpy's reader take differently, or that only look numeric;
+# "#1" starts a comment for loadtxt's default reader.
+_DAMAGED_CELLS = [
+    "١", "１", "١.٥", "1_0", "#1", '"1"', "", " ", " 1 ", "\x1c1", "1\x1f", "\x851",
+    "1e400", "-1e400", "4.9e-324", "-0", "nan", "0x10",
+]
+_LINE_DAMAGE = ["trailing tab", "no tab", "whitespace line", "blank line", "crlf"]
+_FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.floats(),
+)
+
+
+def _damaged(lines: list[str], damage: str | None, row: int, column: int) -> list[str]:
+    """``lines`` with ``damage`` (a cell, or one of ``_LINE_DAMAGE``) at data line ``row``."""
+    lines = list(lines)
+    if damage == "trailing tab":
+        lines[row] += "\t"
+    elif damage == "no tab":
+        lines[row] = lines[row].partition("\t")[0]
+    elif damage == "whitespace line":
+        lines.insert(row, " ")
+    elif damage == "blank line":
+        lines.insert(row, "")
+    elif damage == "crlf":  # lines split at "\n" alone keep the "\r" of a CRLF ending
+        lines[1:] = [line + "\r" for line in lines[1:]]
+    elif damage is not None:
+        cells = lines[row].split("\t")
+        cells[column] = damage
+        lines[row] = "\t".join(cells)
+    return lines
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reader must not warn on any table
+@pytest.mark.parametrize("damage", [None] + _LINE_DAMAGE + _DAMAGED_CELLS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_parse_rows_equals_the_per_line_reference(damage, data):
+    n, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    numbers = data.draw(st.lists(_FLOAT64, min_size=n * width, max_size=n * width))
+    cells = [data.draw(st.sampled_from([format_number, repr]))(x) for x in numbers]
+    lines = ["id\t" + "\t".join(f"f{j}" for j in range(width))] + [
+        f"s{i}\t" + "\t".join(cells[i * width : (i + 1) * width]) for i in range(n)
+    ]
+    lines = _damaged(lines, damage, data.draw(st.integers(1, n)), data.draw(st.integers(1, width)))
+    if data.draw(st.booleans()):  # a blank line shifts the line numbers after it
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    try:
+        expected_ids, expected = per_line_table_rows(lines, width)
+    except ParseError as reference:
+        with pytest.raises(ParseError) as excinfo:
+            parse_rows(lines, width)
+        assert str(excinfo.value) == str(reference)
+        assert excinfo.value.line == reference.line
+        return
+    if damage is None:  # an ordinary table takes numpy's C reader
+        assert _loadtxt_rows([raw for raw in lines[1:] if raw != ""], width) is not None
+    row_ids, values = parse_rows(lines, width)
+    assert row_ids == expected_ids
+    assert values.dtype == np.float64 and values.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(values), nan)
+    assert np.array_equal(values[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "\r"])

@@ -426,6 +426,14 @@ def test_read_rejects_non_numeric_cell_with_line(tmp_path):
     )
 
 
+def test_read_names_the_first_repeated_id(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("id\ta\tb\ta\na\t0\t1\t0\nb\t1\t0\t1\na\t0\t1\t0\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as excinfo:
+        read_dissimilarity(path)
+    assert str(excinfo.value) == f"{path}: duplicate observation id: 'a'"
+
+
 def test_tsv_round_trip_with_sidecar(tmp_path):
     rng = np.random.default_rng(71)
     m = matrix(rng.integers(1, 30, (4, 9)).astype(float))
