@@ -164,14 +164,15 @@ def cmd_transform(args, out_dir: Path):
 
 def cmd_train(args, out_dir: Path):
     data = _read_labeled(args)
-    model = fit(
-        data,
-        method=args.size_factors,
-        rho=args.rho,
-        beta=args.beta,
-        prior_mode=args.priors,
-        transform=args.transform == "on",
-    )
+    with in_file(f"{args.counts} and {args.labels}"):
+        model = fit(
+            data,
+            method=args.size_factors,
+            rho=args.rho,
+            beta=args.beta,
+            prior_mode=args.priors,
+            transform=args.transform == "on",
+        )
     write_model(model, out_dir / "model.json")
     factors = map(format_number, model.size_factors.values)
     write_two_column_tsv(out_dir / "size_factors.tsv", zip(data.matrix.sample_ids, factors))
@@ -224,16 +225,19 @@ def cmd_cv(args, out_dir: Path):
             grid = [float(tok) for tok in args.rho_grid.split(",") if tok != ""]
         except ValueError:
             raise ValidationError(f"bad --rho-grid '{args.rho_grid}'")
-    result = cross_validate(
-        data,
-        method=args.size_factors,
-        rho_grid=grid,
-        folds=args.folds,
-        seed=args.seed,
-        prior_mode=args.priors,
-        transform=args.transform == "on",
-        beta=args.beta,
-    )
+    threads = _resolve_threads(args)
+    with in_file(f"{args.counts} and {args.labels}"):
+        result = cross_validate(
+            data,
+            method=args.size_factors,
+            rho_grid=grid,
+            folds=args.folds,
+            seed=args.seed,
+            prior_mode=args.priors,
+            transform=args.transform == "on",
+            beta=args.beta,
+            threads=threads,
+        )
     _write_json(out_dir / "cv.json", result.to_json())
     write_model(result.model, out_dir / "model.json")
     return [Path(args.counts), Path(args.labels)], {
@@ -248,17 +252,18 @@ def cmd_dissim(args, out_dir: Path):
     method = canonical_method(args.size_factors)
     transform = args.transform == "on"
     threads = _resolve_threads(args)
-    if args.axis == "features":
-        dm = feature_dissimilarity_matrix(
-            matrix, measure=args.measure, method=method, beta=args.beta,
-            transform=transform, threads=threads,
-        )
-    elif args.measure == "poisson":
-        dm = poisson_dissimilarity_matrix(
-            matrix, method=method, beta=args.beta, transform=transform, threads=threads
-        )
-    else:
-        dm = sq_euclidean_dissimilarity_matrix(matrix, method=method, threads=threads)
+    with in_file(args.counts):
+        if args.axis == "features":
+            dm = feature_dissimilarity_matrix(
+                matrix, measure=args.measure, method=method, beta=args.beta,
+                transform=transform, threads=threads,
+            )
+        elif args.measure == "poisson":
+            dm = poisson_dissimilarity_matrix(
+                matrix, method=method, beta=args.beta, transform=transform, threads=threads
+            )
+        else:
+            dm = sq_euclidean_dissimilarity_matrix(matrix, method=method, threads=threads)
     write_dissimilarity(dm, out_dir / "dissim.tsv")
     return [Path(args.counts)], {
         "outputs": ["dissim.tsv", "dissim.tsv.json"],
@@ -304,12 +309,13 @@ def cmd_cer(args, out_dir: Path):
 
 
 def cmd_replicate(args, out_dir: Path):
+    threads = _resolve_threads(args)
     if args.task == "classification":
         summary = replicate_classification(
             n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
             reps=args.reps, seed=args.seed, method=args.size_factors,
             folds=args.folds, de_prob=args.de_prob,
-            transform=args.transform == "on", beta=args.beta,
+            transform=args.transform == "on", beta=args.beta, threads=threads,
         )
         headline = (
             f"mean test errors {summary['errors']['mean']:.3f} "
@@ -322,7 +328,6 @@ def cmd_replicate(args, out_dir: Path):
             ("se_nonzero", summary["nonzero"]["se"]),
         ]
     else:
-        threads = _resolve_threads(args)
         summary = replicate_clustering(
             n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
             reps=args.reps, seed=args.seed, measure=args.measure,
@@ -355,6 +360,12 @@ def _add_model_options(parser):
     )
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--transform", choices=("on", "off"), default="on")
+
+
+def _add_threads_option(parser):
+    parser.add_argument(
+        "--threads", type=_thread_count, default=0, help="0 = POISKIT_THREADS or all cores"
+    )
 
 
 def _add_fit_options(parser):
@@ -404,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--seed", type=int, default=0)
     _add_fit_options(cv)
+    _add_threads_option(cv)
     cv.set_defaults(func=cmd_cv)
 
     dis = commands.add_parser("dissim", help="pairwise dissimilarity matrix")
@@ -411,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--measure", choices=("poisson", "sq-euclidean"), default="poisson")
     dis.add_argument("--axis", choices=("samples", "features"), default="samples")
     _add_model_options(dis)
-    dis.add_argument(
-        "--threads", type=_thread_count, default=0, help="0 = POISKIT_THREADS or all cores"
-    )
+    _add_threads_option(dis)
     dis.set_defaults(func=cmd_dissim)
 
     clus = commands.add_parser("cluster", help="complete-linkage clustering of a dissimilarity TSV")
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--cut-k", type=int, default=None)
     rep.add_argument("--folds", type=int, default=5)
     _add_model_options(rep)
-    rep.add_argument("--threads", type=_thread_count, default=0)
+    _add_threads_option(rep)
     rep.set_defaults(func=cmd_replicate)
 
     for sub in (sim, trans, train, pred, cv, dis, clus, cercmd, rep):

@@ -29,14 +29,14 @@ disjoint slots and never change the result.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .count_matrix import CountMatrix, check_unique, read_json_object, read_table, write_table
-from .errors import ValidationError, in_file
+from .errors import ArgumentError, ValidationError, in_file
+from .parallel import map_ordered
 from .size_factors import (
     canonical_method,
     check_statistics,
@@ -99,7 +99,7 @@ class DissimilarityMatrix:
 
 def _check_beta(beta: float) -> None:
     if not (beta >= 0 and np.isfinite(beta)):
-        raise ValidationError("beta must be finite and nonnegative")
+        raise ArgumentError("beta must be finite and nonnegative")
 
 
 def _pair_terms(values: np.ndarray, ids, method: str):
@@ -249,28 +249,25 @@ def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -
     """Condensed matrix filled by ``block_fn(i, lo, hi, ws, out)``.
 
     The block writes row i's pairs with rows lo..hi-1 into ``out``, using
-    ``ws``, a ``(buffers, hi - lo, p)`` view of the calling thread's own
-    workspace, which is allocated once per thread and reused by every tile.
+    ``ws``, a ``(buffers, hi - lo, p)`` view of its unit's own workspace.
+    Each of the ``threads`` units of :func:`poiskit.parallel.map_ordered`
+    takes a strided share of the rows, the calling thread the first, and
+    allocates its workspace once for every tile of its rows.
     """
     n, p = values.shape
     condensed = np.empty(n * (n - 1) // 2)
     tile = max(1, min(_TILE_ELEMENTS // p, n - 1))
+    workers = max(1, min(threads or 1, n - 1))
 
-    def fill(rows):
+    def fill(w: int) -> None:
         workspace = np.empty((buffers, tile, p))
-        for i in rows:
+        for i in range(w, n - 1, workers):
             offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
             for lo in range(i + 1, n, tile):
                 hi = min(lo + tile, n)
                 block_fn(i, lo, hi, workspace[:, : hi - lo], condensed[offset + lo : offset + hi])
 
-    # the calling thread fills the first share of rows, pool threads the others
-    workers = max(1, min(threads or 1, n - 1))
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        futures = [pool.submit(fill, range(w, n - 1, workers)) for w in range(1, workers)]
-        fill(range(0, n - 1, workers))
-        for future in futures:
-            future.result()
+    map_ordered(fill, workers, workers)
     return condensed
 
 
@@ -339,7 +336,7 @@ def feature_dissimilarity_matrix(
 ) -> DissimilarityMatrix:
     """The chosen measure applied to features: the transposed computation."""
     if measure not in MEASURES:
-        raise ValidationError(f"unknown measure '{measure}' (choose from {MEASURES})")
+        raise ArgumentError(f"unknown measure '{measure}' (choose from {MEASURES})")
     flipped = matrix.transpose()
     if measure == "poisson":
         return poisson_dissimilarity_matrix(flipped, method, beta, transform, threads)

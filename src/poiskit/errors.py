@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
 ValidationError covers bad arguments, malformed input files, and data that
-violates a method's preconditions (maps to CLI exit code 2). Anything else
-raised at runtime is treated as an execution failure (exit code 1).
+violates a method's preconditions (maps to CLI exit code 2). Its subclass
+ArgumentError marks a bad argument value, which no input file is at fault
+for. Anything else raised at runtime is treated as an execution failure
+(exit code 1).
 """
 
 from contextlib import contextmanager
@@ -14,6 +16,10 @@ class PoiskitError(Exception):
 
 class ValidationError(PoiskitError):
     """Invalid arguments, malformed files, or violated data preconditions."""
+
+
+class ArgumentError(ValidationError):
+    """An invalid argument value, such as a negative beta or an empty rho grid."""
 
 
 class ParseError(ValidationError):
@@ -30,10 +36,13 @@ class ParseError(ValidationError):
 def in_file(path):
     """Prefix ``<path>: `` to the message of a ValidationError raised in the block.
 
-    The error keeps its class, line and traceback.
+    The error keeps its class, line and traceback. An ArgumentError is
+    about no file, and passes unchanged.
     """
     try:
         yield
+    except ArgumentError:
+        raise
     except ValidationError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -13,7 +13,6 @@ reproduces the plain posterior-mean ratios exactly.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -27,7 +26,8 @@ from .count_matrix import (
     json_number,
     read_json_object,
 )
-from .errors import ValidationError, in_file
+from .errors import ArgumentError, ValidationError, in_file
+from .parallel import map_ordered, warn
 from .size_factors import (
     SizeFactors,
     canonical_method,
@@ -39,15 +39,15 @@ from .transform import calibrate
 PRIOR_MODES = ("uniform", "empirical")
 
 
-def _check_beta(beta: float) -> None:
+def _check_beta(beta: float, error: type[ValidationError] = ArgumentError) -> None:
     if not (beta > 0 and np.isfinite(beta)):
-        raise ValidationError("beta must be finite and positive")
+        raise error("beta must be finite and positive")
 
 
-def _check_rho(rho) -> None:
+def _check_rho(rho, error: type[ValidationError] = ArgumentError) -> None:
     """Reject any rho (a value or a grid) that is negative, infinite or NaN."""
     if not np.all((np.asarray(rho) >= 0) & np.isfinite(rho)):
-        raise ValidationError("rho must be finite and nonnegative")
+        raise error("rho must be finite and nonnegative")
 
 
 def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
@@ -141,8 +141,9 @@ class PldaModel:
             or abs(priors.sum() - 1.0) > 1e-12
         ):
             raise ValidationError("priors must be K finite nonnegative values summing to 1")
-        _check_beta(self.beta)
-        _check_rho(self.rho)
+        # a model's fields are data, which a model file can get wrong
+        _check_beta(self.beta, ValidationError)
+        _check_rho(self.rho, ValidationError)
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
         if len(self.class_names) != K:
@@ -250,7 +251,7 @@ def _fit_stats(
         raise ValidationError("classification needs at least 2 classes")
     _check_beta(beta)
     if prior_mode not in PRIOR_MODES:
-        raise ValidationError(f"prior_mode must be one of {PRIOR_MODES}")
+        raise ArgumentError(f"prior_mode must be one of {PRIOR_MODES}")
     method = canonical_method(method)
 
     values, labels, sample_ids = data.matrix.values, data.labels, data.matrix.sample_ids
@@ -417,7 +418,7 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> tuple[np.ndar
     reduced to that size (with a warning); below 2 the split is degenerate.
     """
     if folds < 2:
-        raise ValidationError("folds must be at least 2")
+        raise ArgumentError("folds must be at least 2")
     labels = np.asarray(labels)
     class_sizes = np.bincount(labels)[1:]
     smallest = int(class_sizes.min())
@@ -428,10 +429,9 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> tuple[np.ndar
     effective = folds
     if smallest < folds:
         effective = smallest
-        warnings.warn(
+        warn(
             f"reducing folds from {folds} to {effective}: smallest class has "
-            f"{smallest} members",
-            RuntimeWarning,
+            f"{smallest} members"
         )
     rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.size, dtype=np.int64)
@@ -491,12 +491,11 @@ def _sweep_fold(
     errors: np.ndarray,
     nonzero: np.ndarray,
 ) -> None:
-    """Write one fold's held-out errors at each rho into ``errors``, its row,
-    and add its active features to the totals in ``nonzero``.
+    """Write one fold's held-out errors and active features at each rho into
+    ``errors`` and ``nonzero``, its rows.
 
     ``test_rows`` are already transformed, and ``test_ids`` name them in
-    errors. The shrinker's workspaces live only for this call, so no two
-    folds hold them at once.
+    errors. The shrinker's workspaces live only for this call.
     """
     s_stars = estimate_test_size_factors(train.size_factors, test_rows, test_ids)
     shrunk = _ratio_shrinker(train.a, train.b)
@@ -506,7 +505,7 @@ def _sweep_fold(
         scores = _score_rows(test_rows, s_stars, log_d, d @ train.g_hat, log_priors)
         predicted = np.argmax(scores, axis=1) + 1
         errors[r] = int((predicted != truth).sum())
-        nonzero[r] += _nonzero_features(d)
+        nonzero[r] = _nonzero_features(d)
 
 
 def cross_validate(
@@ -518,18 +517,26 @@ def cross_validate(
     prior_mode: str = "uniform",
     transform: bool = True,
     beta: float = 1.0,
+    threads: int | None = None,
 ) -> CrossValidationResult:
     """Stratified cross-validation over the shrinkage grid.
 
     Every fold re-estimates the transform exponent and all parameters on
     its training portion alone, so no information leaks from held-out
-    samples into the fit. The fit on all of the data gives the default
-    grid and the returned model.
+    samples into the fit. The fit on all of the data runs first; it gives
+    the default grid and the returned model.
+
+    Each fold is then one unit of :func:`poiskit.parallel.map_ordered`,
+    run on up to ``threads`` threads (None means 1): it fits its training
+    portion, transforms its held-out rows by the fold's exponent and
+    sweeps the grid, writing only its own row of the fold errors and of the
+    active-feature counts. Counts are integers, so their mean over folds
+    is exact in any order, and the result does not depend on ``threads``.
     """
     if rho_grid is not None:
         grid = np.asarray(sorted(float(r) for r in rho_grid), dtype=np.float64)
         if grid.size == 0:
-            raise ValidationError("rho grid must be nonempty")
+            raise ArgumentError("rho grid must be nonempty")
         _check_rho(grid)
     stats = _fit_stats(data, method, beta, prior_mode, transform)
     if rho_grid is None:
@@ -537,28 +544,29 @@ def cross_validate(
     fold_of, effective = stratified_folds(data.labels, folds, seed)
 
     fold_errors = np.zeros((effective, grid.size), dtype=np.int64)
-    nonzero = np.zeros(grid.size, dtype=np.float64)
-    fold_alphas = []
-    for f in range(effective):
+    fold_nonzero = np.zeros((effective, grid.size), dtype=np.int64)
+
+    def fold(f: int) -> float:
         test_idx = np.flatnonzero(fold_of == f)
         train = _fit_stats(
             data, method, beta, prior_mode, transform, rows=np.flatnonzero(fold_of != f)
         )
-        fold_alphas.append(train.alpha)
         test_raw = data.matrix.values[test_idx]
         test_rows = test_raw if train.alpha == 1.0 else test_raw**train.alpha
         test_ids = [data.matrix.sample_ids[i] for i in test_idx]
         truth = data.labels[test_idx]
-        _sweep_fold(train, test_rows, test_ids, truth, grid, fold_errors[f], nonzero)
+        _sweep_fold(train, test_rows, test_ids, truth, grid, fold_errors[f], fold_nonzero[f])
+        return train.alpha
+
+    fold_alphas = map_ordered(fold, effective, threads)
     errors = fold_errors.sum(axis=0)
-    nonzero /= effective
     best = int(np.argmin(errors))
     selected = float(grid[best])
     return CrossValidationResult(
         rho_grid=grid,
         errors=errors,
         error_rate=errors / data.matrix.n,
-        nonzero_features=nonzero,
+        nonzero_features=fold_nonzero.sum(axis=0) / effective,
         selected_rho=selected,
         folds=effective,
         seed=seed,

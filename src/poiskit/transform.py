@@ -30,7 +30,6 @@ exclusion is stable in alpha).
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -39,11 +38,14 @@ import numpy as np
 
 from .count_matrix import CountMatrix
 from .errors import ValidationError
+from .parallel import warn
 
 ALPHA_MIN = 0.01
 GRID_POINTS = 21
 BRACKET_TOL = 1e-6
 STAT_RTOL = 1e-3
+# entries of the rank-one fit held at once by the Pearson statistic
+_FIT_BLOCK = 32_768
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +102,20 @@ def _pearson_stat(x: np.ndarray, work: np.ndarray) -> float:
     The operations are those of ``(resid * resid / fitted).sum()`` with
     ``fitted = np.outer(row sums, column sums) / total`` and
     ``resid = x - fitted``, done in place in ``work`` (which may be ``x``
-    itself) to save two temporaries.
+    itself). ``fitted`` is formed a block of rows at a time, so it never
+    takes more than about ``_FIT_BLOCK`` entries; every entry of ``work``
+    gets the same bits as from the whole outer product.
     """
-    fitted = np.outer(x.sum(axis=1), x.sum(axis=0))
-    fitted /= x.sum()
-    np.subtract(x, fitted, out=work)
-    work *= work
-    work /= fitted
+    row_sums, col_sums, total = x.sum(axis=1), x.sum(axis=0), x.sum()
+    step = max(1, _FIT_BLOCK // x.shape[1])
+    block = np.empty((min(step, x.shape[0]), x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        fitted, resid = block[: min(step, x.shape[0] - lo)], work[lo : lo + step]
+        np.multiply(row_sums[lo : lo + step, None], col_sums, out=fitted)
+        fitted /= total
+        np.subtract(x[lo : lo + step], fitted, out=resid)
+        resid *= resid
+        resid /= fitted
     return float(work.sum())
 
 
@@ -177,6 +186,7 @@ def calibrate(values: np.ndarray) -> Calibration:
         return _pearson_stat(powered, work)
 
     alpha, statistic, converged, seen = _search(stat_of, target)
+    del sub, work  # only ``powered`` is read from here on: free the rest first
     if alpha == 1.0:
         transformed = values
     elif held != alpha:
@@ -232,10 +242,9 @@ def _search(
             i = max([i] + [j for j in above if stat_at(grid[j]) <= target])
         if i < 0:
             stat_min = stat_at(grid[0])
-            warnings.warn(
+            warn(
                 f"power transform did not reach the goodness-of-fit target even at "
-                f"alpha={ALPHA_MIN} (statistic {stat_min:.6g} > target {target:.6g})",
-                RuntimeWarning,
+                f"alpha={ALPHA_MIN} (statistic {stat_min:.6g} > target {target:.6g})"
             )
             return ALPHA_MIN, stat_min, False, seen
         alpha, statistic, converged = _refine(stat_at, grid[i], grid[i + 1], target)

@@ -1,8 +1,9 @@
 """Acceptance suite: the quantitative exit criteria for the toolkit.
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them all).
-The replication tests run the full-size configuration (p = 10,000); the
-same harnesses run with any settings through ``poiskit replicate``.
+The replication tests run the full-size configuration (p = 10,000) with
+their replicates on 2 threads, which changes no result; the same harnesses
+run with any settings through ``poiskit replicate``.
 """
 
 import time
@@ -43,7 +44,7 @@ def test_criterion_1_classification_replication():
         # n=12 with K=3 stratifies into 4 folds; the reduction is expected
         warnings.filterwarnings("ignore", message="reducing folds")
         out = replicate_classification(
-            n=12, p=10_000, K=3, phi=0.01, sigma=0.05, reps=50, seed=20260810
+            n=12, p=10_000, K=3, phi=0.01, sigma=0.05, reps=50, seed=20260810, threads=2
         )
     mean = out["errors"]["mean"]
     report(
@@ -56,7 +57,7 @@ def test_criterion_1_classification_replication():
 def test_criterion_2_clustering_replication_low_dispersion():
     """Mean CER of Poisson/total-count clustering at phi=0.01 is at most 0.05."""
     out = replicate_clustering(
-        n=25, p=10_000, K=3, phi=0.01, sigma=0.15, reps=50, seed=31, cut_k=3
+        n=25, p=10_000, K=3, phi=0.01, sigma=0.15, reps=50, seed=31, cut_k=3, threads=2
     )
     mean = out["cer"]["mean"]
     report(2, mean <= 0.05, f"mean CER {mean:.4f} (se {out['cer']['se']:.4f}), limit 0.05")
@@ -65,7 +66,7 @@ def test_criterion_2_clustering_replication_low_dispersion():
 def test_criterion_3_clustering_replication_high_dispersion():
     """Mean CER at phi=1, sigma=0.5 falls in [0.15, 0.40]."""
     out = replicate_clustering(
-        n=25, p=10_000, K=3, phi=1.0, sigma=0.5, reps=50, seed=32, cut_k=3
+        n=25, p=10_000, K=3, phi=1.0, sigma=0.5, reps=50, seed=32, cut_k=3, threads=2
     )
     mean = out["cer"]["mean"]
     report(

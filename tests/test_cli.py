@@ -4,6 +4,8 @@ import base64
 import contextlib
 import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
+from poiskit.plda import stratified_folds
 
 
 def run(*argv):
@@ -658,12 +661,15 @@ def test_dissim_feature_axis_all_zero_feature_exits_2(tmp_path, capsys):
     assert "zero total count in 1 of 3 observations: 'f1'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ("dissim", "replicate"))
+@pytest.mark.parametrize("command", ("dissim", "replicate", "cv", "replicate-classification"))
 def test_negative_threads_exit_2(tmp_path, capsys, command):
     args = {
         "dissim": ["dissim", "--counts", tmp_path / "counts.tsv"],
         "replicate": ["replicate", "clustering", "--n", 9, "--p", 120, "--phi", 0.01,
                       "--sigma", 0.5, "--reps", 2, "--seed", 3],
+        "cv": ["cv", "--counts", tmp_path / "counts.tsv", "--labels", tmp_path / "labels.tsv"],
+        "replicate-classification": ["replicate", "classification", "--n", 9, "--p", 120,
+                                     "--phi", 0.01, "--sigma", 0.5, "--reps", 2, "--seed", 3],
     }[command]
     with pytest.raises(SystemExit) as excinfo:
         run(*args, "--threads", -3, "--out-dir", tmp_path / "out")
@@ -678,6 +684,89 @@ def test_manifest_records_resolved_threads(sim_dir, tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 3
     assert run("dissim", "--counts", sim_dir / "counts.tsv", "--threads", 2, "--out-dir", out) == 0
     assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 2
+    inputs = ["--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv"]
+    replicate = ["replicate", "classification", "--n", 6, "--p", 50, "--k", 2, "--phi", 0.01,
+                 "--sigma", 0.3, "--reps", 2, "--seed", 4, "--folds", 2]
+    for command in (["cv", *inputs, "--folds", 4], replicate):
+        assert run(*command, "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 3
+        assert run(*command, "--threads", 1, "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["options"]["threads"] == 1
+
+
+def test_data_errors_name_their_inputs_and_argument_errors_do_not(sim_dir, tmp_path, capsys):
+    counts, labels = sim_dir / "counts.tsv", sim_dir / "labels.tsv"
+    lines = labels.read_text().splitlines()
+    # sample s1 alone in a class of its own
+    lonely = tmp_path / "lonely.tsv"
+    lonely.write_text("\n".join([lines[0] + "x", *lines[1:]]) + "\n", encoding="utf-8")
+    one_class = tmp_path / "one_class.tsv"
+    one_class.write_text("".join(f"s{i}\tA\n" for i in range(1, 13)), encoding="utf-8")
+    matrix = read_count_matrix(counts)
+    values = matrix.values.copy()
+    values[4] = 0.0
+    zeroed = tmp_path / "zeroed.tsv"
+    write_count_matrix(CountMatrix(values, matrix.sample_ids, matrix.feature_ids), zeroed)
+    cases = [
+        (["cv", "--counts", counts, "--labels", lonely],
+         f"{counts} and {lonely}: stratified folds are degenerate: "
+         "a class has fewer than 2 members"),
+        (["train", "--counts", counts, "--labels", one_class],
+         f"{counts} and {one_class}: classification needs at least 2 classes"),
+        (["cv", "--counts", zeroed, "--labels", labels],
+         f"{zeroed} and {labels}: zero total count in 1 of 12 observations: 's5'"),
+        (["dissim", "--counts", zeroed],
+         f"{zeroed}: zero total count in 1 of 12 observations: 's5'"),
+        (["cv", "--counts", counts, "--labels", labels, "--beta", -1],
+         "beta must be finite and positive"),
+        (["train", "--counts", counts, "--labels", labels, "--rho", -1],
+         "rho must be finite and nonnegative"),
+        (["cv", "--counts", counts, "--labels", labels, "--rho-grid", ","],
+         "rho grid must be nonempty"),
+        (["cv", "--counts", counts, "--labels", labels, "--folds", 1],
+         "folds must be at least 2"),
+        (["dissim", "--counts", counts, "--beta", -1], "beta must be finite and nonnegative"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_a_failing_fold_reports_the_same_error_at_any_thread_count(tmp_path, capsys):
+    """Sample a is zero on features 1-6, and sample b on features 7-12.
+
+    Under median-ratio factors a fold's usable features are those positive
+    in all of its training samples. The fold that holds out a, with b
+    training, keeps features 0-6, on 6 of which a is zero: its median ratio
+    is zero. So it is for b. Both folds fail; the lower one's sample is named.
+    """
+    n, p = 8, 13
+    values = np.full((n, p), 5.0)
+    values[0, 1:7] = 0.0  # sample a
+    values[1, 7:13] = 0.0  # sample b
+    ids = ("a", "b", *(f"s{i}" for i in range(2, n)))
+    counts = tmp_path / "counts.tsv"
+    write_count_matrix(CountMatrix(values, ids, tuple(f"f{j}" for j in range(p))), counts)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{s}\t{'AB'[i % 2]}\n" for i, s in enumerate(ids)))
+    for seed in range(20):
+        fold_of, _ = stratified_folds(np.arange(n) % 2 + 1, 4, seed)
+        if fold_of[0] != fold_of[1]:
+            break
+    assert fold_of[0] != fold_of[1]
+    first = "a" if fold_of[0] < fold_of[1] else "b"
+    errors = set()
+    for threads in (1, 2, 4):
+        assert run(
+            "cv", "--counts", counts, "--labels", labels, "--size-factors", "median-ratio",
+            "--transform", "off", "--folds", 4, "--seed", seed, "--threads", threads,
+            "--out-dir", tmp_path / "cv",
+        ) == 2
+        errors.add(capsys.readouterr().err)
+    assert errors == {
+        f"error: {counts} and {labels}: zero median ratio in test observation '{first}'\n"
+    }
 
 
 def test_replicate_smoke(tmp_path):
@@ -711,3 +800,46 @@ def test_manifest_records_input_digests(sim_dir, tmp_path):
     digest = list(manifest["inputs"].values())[0]
     assert digest.startswith("sha256:")
     assert manifest["version"]
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(6, 12),
+    k=st.integers(2, 3),
+    phi=st.sampled_from([0.0, 0.01, 1.0]),
+    method=st.sampled_from(["total", "quantile", "median-ratio"]),
+)
+@settings(max_examples=10, deadline=None)
+def test_outputs_are_byte_identical_at_any_thread_count(tmp_path_factory, seed, n, k, phi, method):
+    """cv, replicate classification and replicate clustering, at --threads 1, 2 and 5."""
+    root = tmp_path_factory.mktemp("threads")
+    sim = root / "sim"
+    common = ["--k", k, "--phi", phi, "--sigma", 0.4, "--seed", seed]
+    assert run("simulate", "--n", n, "--p", 60, *common, "--out-dir", sim) == 0
+    commands = {
+        "cv": ["cv", "--counts", sim / "counts.tsv", "--labels", sim / "labels.tsv",
+               "--size-factors", method, "--folds", 3, "--seed", seed],
+        "classification": ["replicate", "classification", "--n", n, "--p", 40, *common,
+                           "--reps", 3, "--folds", 2],
+        "clustering": ["replicate", "clustering", "--n", n, "--p", 40, *common, "--reps", 3],
+    }
+    outputs = {
+        "cv": ["cv.json", "model.json"],
+        "classification": ["summary.json", "summary.tsv"],
+        "clustering": ["summary.json", "summary.tsv"],
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # reduced folds, say
+            for name, argv in commands.items():
+                seen = set()
+                for threads in (1, 2, 5):
+                    out = root / f"{name}-{threads}"
+                    code = run(*argv, "--threads", threads, "--out-dir", out)
+                    files = tuple((out / f).read_bytes() for f in outputs[name]) if code == 0 else ()
+                    seen.add((code, files))
+                assert len(seen) == 1, name
+    finally:
+        sys.setswitchinterval(interval)

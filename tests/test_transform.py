@@ -61,6 +61,18 @@ def test_in_place_pearson_stat_equals_out_of_place_formula(x):
         assert repr(_pearson_stat(x.copy(), np.empty_like(x))) == repr(expected)
 
 
+@pytest.mark.parametrize("shape", [(12, 10_000), (300, 1_000), (5, 40_000), (7, 4_681)])
+def test_pearson_stat_in_row_blocks_equals_the_whole_outer_product(shape):
+    """Shapes whose rank-one fit takes several row blocks, one row or many at a time."""
+    x = np.random.default_rng(sum(shape)).negative_binomial(3, 0.05, shape).astype(float) + 1
+    fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
+    resid = x - fitted
+    expected = float((resid * resid / fitted).sum())
+    assert repr(_pearson_stat(x, np.empty_like(x))) == repr(expected)
+    in_place = x.copy()
+    assert repr(_pearson_stat(in_place, in_place)) == repr(expected)
+
+
 def test_statistic_near_target_for_rank_one_poisson_data():
     config = SimulationConfig(n=20, p=2000, K=3, phi=0.0, sigma=0.1, de_prob=0.0, seed=2)
     data = simulate(config).data.matrix
