@@ -38,6 +38,7 @@ from .count_matrix import CountMatrix, check_unique, read_json_object, read_tabl
 from .errors import ArgumentError, ValidationError, in_file
 from .parallel import map_ordered
 from .size_factors import (
+    METHODS,
     canonical_method,
     check_statistics,
     estimate_size_factors,
@@ -354,16 +355,25 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     """Read a full symmetric TSV written by :func:`write_dissimilarity`.
 
     The sidecar is consulted when present; otherwise measure and method are
-    recorded as "unknown".
+    recorded as "unknown". A sidecar's ``measure`` must be one of MEASURES,
+    its ``method`` a canonical size-factor method and its ``n`` the number
+    of rows of the table; errors name the sidecar.
     """
-    measure, method = "unknown", "unknown"
+    meta = {}
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         meta = read_json_object(sidecar, "sidecar must be a JSON object")
-        measure = meta.get("measure", measure)
-        method = meta.get("method", method)
     ids, row_ids, values = read_table(path)
     with in_file(path):
         if row_ids != ids:
             raise ValidationError("row ids do not match column ids")
+    measure, method = meta.get("measure", "unknown"), meta.get("method", "unknown")
+    with in_file(sidecar):
+        if "measure" in meta and measure not in MEASURES:
+            raise ValidationError(f"unknown measure {measure!r} (choose from {MEASURES})")
+        if "method" in meta and method not in METHODS:
+            raise ValidationError(f"unknown size-factor method {method!r} (choose from {METHODS})")
+        if "n" in meta and not (type(meta["n"]) is int and meta["n"] == len(ids)):
+            raise ValidationError(f"n is {meta['n']!r}, but the table has {len(ids)} rows")
+    with in_file(path):
         return DissimilarityMatrix.from_full(values, ids, measure, method)

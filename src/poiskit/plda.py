@@ -37,6 +37,8 @@ from .size_factors import (
 from .transform import calibrate
 
 PRIOR_MODES = ("uniform", "empirical")
+# entries of the (rho, K, p) ratio workspaces a cv fold's grid sweep fills at once
+_SWEEP_ELEMENTS = 131_072
 
 
 def _check_beta(beta: float, error: type[ValidationError] = ArgumentError) -> None:
@@ -59,18 +61,21 @@ def shrunken_ratios(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     is exact) rather than the algebraically equal soft-thresholded form
     1 + sign(a/b - 1) * max(|a/b - 1| - 0, 0), which reassociates the arithmetic.
     """
-    return _ratio_shrinker(a, b)(rho)[0].copy()
+    return _ratio_shrinker(a, b, 1)(np.array([rho], dtype=np.float64))[0]
 
 
-def _ratio_shrinker(a: np.ndarray, b: np.ndarray):
-    """``rho -> (d, log d)`` with d = ``shrunken_ratios(a, b, rho)``.
+def _ratio_shrinker(a: np.ndarray, b: np.ndarray, block: int):
+    """``rhos -> d`` for up to ``block`` values of rho at once.
 
-    Every rho-free term is computed once, and every call writes into the
-    same workspaces, so the arrays returned are overwritten by the next
-    call. The threshold takes the sign of ``ratio - 1`` before it is
-    subtracted: ``ratio - (-thr)`` equals ``ratio + thr`` exactly, so one
-    subtraction gives both shrinking branches. As in the three-branch form,
-    an infinite or NaN rho shrinks every ratio to 1.
+    Slice r of the returned ``(len(rhos), K, p)`` array is
+    ``shrunken_ratios(a, b, rhos[r])``. Every rho-free term is computed
+    once, and every call writes into the same ``(block, K, p)`` workspace,
+    so the array returned is overwritten by the next call. Each step is
+    elementwise, so an entry's bits do not depend on the block. The
+    threshold takes the sign of ``ratio - 1`` before it is subtracted:
+    ``ratio - (-thr)`` equals ``ratio + thr`` exactly, so one subtraction
+    gives both shrinking branches. As in the three-branch form, an infinite
+    or NaN rho shrinks every ratio to 1.
     """
     ratio = a / b
     dev = ratio - 1.0
@@ -78,26 +83,26 @@ def _ratio_shrinker(a: np.ndarray, b: np.ndarray):
     # +1 where dev == 0: np.sign's 0 there would meet an infinite thr as 0 * inf
     sign = np.copysign(1.0, dev)
     sqrt_b = np.sqrt(b)
-    thr = np.empty_like(ratio)
-    d = np.empty_like(ratio)
-    log_d = np.empty_like(ratio)
-    active = np.empty(ratio.shape, dtype=bool)
-    inactive = np.empty(ratio.shape, dtype=bool)
+    shape = (block,) + ratio.shape
+    d_block = np.empty(shape)
+    inactive_block = np.empty(shape, dtype=bool)
 
-    def at(rho: float) -> tuple[np.ndarray, np.ndarray]:
-        np.divide(rho, sqrt_b, out=thr)
-        np.greater(abs_dev, thr, out=active)
-        np.multiply(thr, sign, out=thr)
-        np.subtract(ratio, thr, out=d)
-        np.copyto(d, 1.0, where=np.logical_not(active, out=inactive))
-        np.log(d, out=log_d)
-        return d, log_d
+    def at(rhos: np.ndarray) -> np.ndarray:
+        d, inactive = d_block[: rhos.size], inactive_block[: rhos.size]
+        np.divide(rhos[:, None, None], sqrt_b, out=d)  # the threshold, then d in place
+        np.greater(abs_dev, d, out=inactive)
+        np.logical_not(inactive, out=inactive)
+        np.multiply(d, sign, out=d)
+        np.subtract(ratio, d, out=d)
+        np.copyto(d, 1.0, where=inactive)
+        return d
 
     return at
 
 
-def _nonzero_features(d_hat: np.ndarray) -> int:
-    return int(np.any(d_hat != 1.0, axis=0).sum())
+def _nonzero_features(d_hat: np.ndarray):
+    """Features whose ratios are not all 1, per ``(..., K, p)`` slice."""
+    return np.any(d_hat != 1.0, axis=-2).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +175,7 @@ class PldaModel:
 
     def nonzero_features(self) -> int:
         """Number of features whose ratios are not fully shrunken to 1."""
-        return _nonzero_features(self.d_hat)
+        return int(_nonzero_features(self.d_hat))
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -256,12 +261,14 @@ def _fit_stats(
 
     values, labels, sample_ids = data.matrix.values, data.labels, data.matrix.sample_ids
     if rows is not None:
-        values, labels = values[rows], labels[rows]
+        labels = labels[rows]
         sample_ids = [sample_ids[i] for i in rows]
     alpha = 1.0
-    if transform:
-        calibration = calibrate(values)
+    if transform:  # calibrate copies the rows itself, once
+        calibration = calibrate(values, rows)
         alpha, values = calibration.alpha, calibration.values
+    elif rows is not None:
+        values = values[rows]
 
     factors = size_factors_of(values, sample_ids, method)
     g_hat = values.sum(axis=0)
@@ -329,11 +336,17 @@ def fit(
 def _score_rows(rows, s_stars, log_d, offsets, log_priors) -> np.ndarray:
     """Class scores for already-transformed rows; one row per observation.
 
-    Each ``rows[i] . log_d[k]`` is one dot product of those two vectors, so a
-    row's scores are the same bits in any batch. A matrix product would
-    block its sums by the batch's shape and change them in the last bit.
+    ``log_d`` is ``(..., K, p)`` and ``offsets`` ``(..., K)``; the scores are
+    ``(..., m, K)`` for m rows. Each ``rows[i] . log_d[..., k, :]`` is one dot
+    product of those two vectors, so a row's scores are the same bits in
+    any batch and any block. A matrix product would block its sums by the
+    batch's shape and change them in the last bit.
     """
-    return np.vecdot(rows[:, None, :], log_d[None]) - np.outer(s_stars, offsets) + log_priors
+    return (
+        np.vecdot(rows[:, None, :], log_d[..., None, :, :])
+        - s_stars[:, None] * offsets[..., None, :]
+        + log_priors
+    )
 
 
 def _predict_rows(model: PldaModel, rows: np.ndarray, s_stars=None, sample_ids=None) -> Prediction:
@@ -495,17 +508,25 @@ def _sweep_fold(
     ``errors`` and ``nonzero``, its rows.
 
     ``test_rows`` are already transformed, and ``test_ids`` name them in
-    errors. The shrinker's workspaces live only for this call.
+    errors. The grid is swept a block of up to ``_SWEEP_ELEMENTS // (K p)``
+    values at a time, so each numpy call covers several rho; every slice of
+    ``d @ g_hat`` and of the scores has the bits of the one-rho computation
+    that :class:`PldaModel` makes. The shrinker's workspace, which holds d
+    and then log d, lives only for this call.
     """
     s_stars = estimate_test_size_factors(train.size_factors, test_rows, test_ids)
-    shrunk = _ratio_shrinker(train.a, train.b)
+    block = max(1, min(grid.size, _SWEEP_ELEMENTS // train.a.size))
+    shrunk = _ratio_shrinker(train.a, train.b, block)
     log_priors = np.log(train.priors)
-    for r, rho in enumerate(grid):
-        d, log_d = shrunk(rho)
-        scores = _score_rows(test_rows, s_stars, log_d, d @ train.g_hat, log_priors)
-        predicted = np.argmax(scores, axis=1) + 1
-        errors[r] = int((predicted != truth).sum())
-        nonzero[r] = _nonzero_features(d)
+    for lo in range(0, grid.size, block):
+        part = slice(lo, lo + block)
+        d = shrunk(grid[part])
+        offsets = d @ train.g_hat
+        nonzero[part] = _nonzero_features(d)
+        log_d = np.log(d, out=d)  # d is read no more: its log takes its place
+        scores = _score_rows(test_rows, s_stars, log_d, offsets, log_priors)
+        predicted = np.argmax(scores, axis=-1) + 1
+        errors[part] = (predicted != truth).sum(axis=-1)
 
 
 def cross_validate(

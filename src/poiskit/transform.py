@@ -80,20 +80,29 @@ class Calibration(NamedTuple):
     values: np.ndarray
 
 
-def _positive_submatrix(values: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-    """``values`` without its zero-total rows and columns, and the index that
-    selected them: ``(values, None)`` if none was dropped."""
-    rows = values.sum(axis=1) > 0
-    cols = values.sum(axis=0) > 0
-    if rows.sum() < 2 or cols.sum() < 2:
+def _positive_submatrix(
+    values: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple | None]:
+    """The rows ``rows`` of ``values`` (all when None) without their zero-total
+    rows and columns, taken in one indexing step, and the index that selects
+    those entries within the rows, None if none was dropped. With all rows
+    and none dropped, the array returned is ``values`` itself."""
+    whole = rows is None
+    if whole:
+        rows, taken = np.arange(values.shape[0]), True
+    else:
+        taken = np.zeros((values.shape[0], 1), dtype=bool)
+        taken[rows] = True
+    positive_rows = values.sum(axis=1)[rows] > 0
+    cols = values.sum(axis=0, where=taken) > 0
+    if positive_rows.sum() < 2 or cols.sum() < 2:
         raise ValidationError(
             "goodness-of-fit statistic needs at least 2 samples and 2 features "
             "with positive totals"
         )
-    if rows.all() and cols.all():
-        return values, None
-    kept = np.ix_(rows, cols)
-    return values[kept], kept
+    if positive_rows.all() and cols.all():
+        return (values if whole else values[rows]), None
+    return values[np.ix_(rows[positive_rows], cols)], np.ix_(positive_rows, cols)
 
 
 def _pearson_stat(x: np.ndarray, work: np.ndarray) -> float:
@@ -162,15 +171,18 @@ def find_alpha(matrix: CountMatrix) -> TransformResult:
     )
 
 
-def calibrate(values: np.ndarray) -> Calibration:
+def calibrate(values: np.ndarray, rows: np.ndarray | None = None) -> Calibration:
     """The search of :func:`find_alpha` on a raw value array.
 
-    ``values`` of the result is ``values ** alpha`` (``values`` itself at
-    alpha = 1). When the last statistic was computed at the returned
-    exponent, that power is handed back rather than computed again, with
-    any dropped row or column filled with zeros (0 ** alpha is 0).
+    ``rows`` (distinct row indices, all rows when None) restricts the search
+    to those rows of ``values``, which are copied once, without the rows and
+    columns whose totals are zero. ``values`` of the result is those rows
+    raised to ``alpha`` (``values`` itself at alpha = 1 with all rows). When
+    the last statistic was computed at the returned exponent, that power is
+    handed back rather than computed again, with any dropped row or column
+    filled with zeros (0 ** alpha is 0).
     """
-    sub, kept = _positive_submatrix(values)
+    sub, kept = _positive_submatrix(values, rows)
     n_pos, p_pos = sub.shape
     target = float((n_pos - 1) * (p_pos - 1))
     powered = np.empty_like(sub)
@@ -186,16 +198,23 @@ def calibrate(values: np.ndarray) -> Calibration:
         return _pearson_stat(powered, work)
 
     alpha, statistic, converged, seen = _search(stat_of, target)
-    del sub, work  # only ``powered`` is read from here on: free the rest first
-    if alpha == 1.0:
-        transformed = values
-    elif held != alpha:
-        transformed = values**alpha
-    elif kept is None:
-        transformed = powered
+    del work  # free what is no longer read before building the transformed array
+    if alpha != 1.0 and held == alpha:
+        if kept is None:
+            transformed = powered
+        else:
+            del sub
+            n_rows = values.shape[0] if rows is None else len(rows)
+            transformed = np.zeros((n_rows, values.shape[1]))
+            transformed[kept] = powered
     else:
-        transformed = np.zeros_like(values)
-        transformed[kept] = powered
+        del powered
+        if kept is None:
+            picked = sub  # the rows themselves
+        else:
+            del sub
+            picked = values if rows is None else values[rows]
+        transformed = picked if alpha == 1.0 else picked**alpha
     return Calibration(
         alpha, statistic, target, converged, _monotone(seen), len(seen), transformed
     )

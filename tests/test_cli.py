@@ -495,6 +495,12 @@ def valid_inputs(trained):
 
 
 _BYTES = st.one_of(st.sampled_from(b'\t\n\r -+.0159eEaNn"=/,[]{}:\xff'), st.integers(0, 255))
+# sidecar fields that parse as JSON but do not describe the table
+_BAD_SIDECAR_FIELDS = [
+    ("measure", 5), ("measure", "euclidean"), ("measure", None), ("method", ["x"]),
+    ("method", "tc"), ("method", "unknown"), ("n", 0), ("n", -1), ("n", "12"), ("n", None),
+    ("n", True),
+]
 
 
 @given(data=st.data())
@@ -504,14 +510,19 @@ def test_damaged_input_file_exits_0_or_2_naming_it(valid_inputs, data):
     kind = data.draw(st.sampled_from(sorted(files)))
     text = files[kind].read_bytes()
     at = data.draw(st.integers(0, len(text)))
-    edit = data.draw(st.sampled_from(["truncate", "replace", "insert", "delete"]))
-    byte = bytes([data.draw(_BYTES)])
-    text = {
-        "truncate": text[:at],
-        "replace": text[:at] + byte + text[at + 1:],
-        "insert": text[:at] + byte + text[at:],
-        "delete": text[:at] + text[at + 1:],
-    }[edit]
+    edits = ["truncate", "replace", "insert", "delete"] + (["field"] if kind == "sidecar" else [])
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "field":  # valid JSON whose measure, method or n is wrong
+        key, value = data.draw(st.sampled_from(_BAD_SIDECAR_FIELDS))
+        text = json.dumps({**json.loads(text), key: value}).encode()
+    else:
+        byte = bytes([data.draw(_BYTES)])
+        text = {
+            "truncate": text[:at],
+            "replace": text[:at] + byte + text[at + 1:],
+            "insert": text[:at] + byte + text[at:],
+            "delete": text[:at] + text[at + 1:],
+        }[edit]
     folder = root / "damaged"
     folder.mkdir(exist_ok=True)
     damaged = folder / files[kind].name
@@ -525,6 +536,7 @@ def test_damaged_input_file_exits_0_or_2_naming_it(valid_inputs, data):
     err = stderr.getvalue()
     assert code in (0, 2), err
     assert code == 0 or str(damaged) in err, err
+    assert code == 2 or edit != "field", err
 
 
 def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):
@@ -643,6 +655,17 @@ def test_cluster_rejects_asymmetric_matrix(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("id\ta\tb\na\t0\t1\nb\t2\t0\n", encoding="utf-8")
     assert run("cluster", "--dissim", bad, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+
+
+@pytest.mark.parametrize("key, value", _BAD_SIDECAR_FIELDS)
+def test_cluster_sidecar_field_that_does_not_fit_exits_2(tmp_path, capsys, key, value):
+    dissim = tmp_path / "d.tsv"
+    dissim.write_text("id\ta\tb\na\t0\t1\nb\t1\t0\n", encoding="utf-8")
+    sidecar = tmp_path / "d.tsv.json"
+    fields = {"measure": "poisson", "method": "total-count", "n": 2, key: value}
+    sidecar.write_text(json.dumps(fields), encoding="utf-8")
+    assert run("cluster", "--dissim", dissim, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+    assert f"error: {sidecar}: " in capsys.readouterr().err
 
 
 def test_cluster_sidecar_not_json_exits_2(tmp_path, capsys):

@@ -340,6 +340,18 @@ _FLOAT64 = st.one_of(
     st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
     st.floats(),
 )
+# cells of integer tables: 16-19 digits round to float64 (ties to even), 2**63
+# and past it overflow the int64 reader; the signed, spaced and empty cells
+# send a table to the float reader or to the per-line loop
+_INTEGER_CELL = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(10**15, 10**19 - 1).map(str),
+    st.tuples(st.integers(1, 20), st.integers(0, 10**6)).map(lambda z: "0" * z[0] + str(z[1])),
+    st.sampled_from(
+        ["9007199254740993", "9223372036854775807", "9223372036854775808",
+         "18446744073709551617", "", "-0", "+3", " 3"]
+    ),
+)
 
 
 def _damaged(lines: list[str], damage: str | None, row: int, column: int) -> list[str]:
@@ -368,8 +380,11 @@ def _damaged(lines: list[str], damage: str | None, row: int, column: int) -> lis
 @settings(max_examples=25, deadline=None)
 def test_parse_rows_equals_the_per_line_reference(damage, data):
     n, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    numbers = data.draw(st.lists(_FLOAT64, min_size=n * width, max_size=n * width))
-    cells = [data.draw(st.sampled_from([format_number, repr]))(x) for x in numbers]
+    if data.draw(st.booleans()):  # an integer table
+        cells = data.draw(st.lists(_INTEGER_CELL, min_size=n * width, max_size=n * width))
+    else:
+        numbers = data.draw(st.lists(_FLOAT64, min_size=n * width, max_size=n * width))
+        cells = [data.draw(st.sampled_from([format_number, repr]))(x) for x in numbers]
     lines = ["id\t" + "\t".join(f"f{j}" for j in range(width))] + [
         f"s{i}\t" + "\t".join(cells[i * width : (i + 1) * width]) for i in range(n)
     ]
@@ -392,6 +407,25 @@ def test_parse_rows_equals_the_per_line_reference(damage, data):
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(values), nan)
     assert np.array_equal(values[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["0", "007", "9007199254740993", "9999999999999999999", "9223372036854775807",
+     "9223372036854775808", "", "-0", "+3", " 3"],
+)
+def test_integer_table_cells_equal_the_per_line_reference(cell):
+    lines = ["id\tf0\tf1", "s0\t12\t" + cell, "s1\t0\t3"]
+    try:
+        expected_ids, expected = per_line_table_rows(lines, 2)
+    except ParseError as reference:
+        with pytest.raises(ParseError) as excinfo:
+            parse_rows(lines, 2)
+        assert str(excinfo.value) == str(reference)
+        return
+    row_ids, values = parse_rows(lines, 2)
+    assert row_ids == expected_ids
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb", "\r"])

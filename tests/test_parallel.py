@@ -87,9 +87,10 @@ def test_cross_validation_warnings_are_issued_in_fold_order(monkeypatch):
     )
     calibrate = plda.calibrate
 
-    def noisy_calibrate(rows):
-        parallel.warn(f"calibrating {int(rows.sum())}")
-        return calibrate(rows)
+    def noisy_calibrate(values, rows=None):
+        picked = values if rows is None else values[rows]
+        parallel.warn(f"calibrating {int(picked.sum())}")
+        return calibrate(values, rows)
 
     monkeypatch.setattr(plda, "calibrate", noisy_calibrate)
     runs = []

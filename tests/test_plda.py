@@ -15,6 +15,7 @@ from poiskit.errors import ValidationError
 from poiskit.size_factors import SizeFactors
 from poiskit.simulate import SimulationConfig, simulate
 from poiskit.transform import calibrate
+from poiskit import plda
 from poiskit.plda import (
     PldaModel,
     _ratio_shrinker,
@@ -292,27 +293,69 @@ def test_shrunken_ratios_match_three_branch_formula():
     ratio = a / b
     assert np.any(ratio == 1.0) and np.any(np.abs(ratio - 1.0) == 1.0 / np.sqrt(b))
     bound = float(np.max(np.sqrt(b) * np.abs(ratio - 1.0)))  # shrinkage_upper_bound
-    for rho in (0.0, 1e-3, 0.1, 0.7, 1.0, 3.0, 50.0, bound, 2.0 * bound, np.inf, np.nan):
+    rhos = [0.0, 1e-3, 0.1, 0.7, 1.0, 3.0, 50.0, bound, 2.0 * bound, np.inf, np.nan]
+
+    def expected(rho):
         thr = rho / np.sqrt(b)
-        expected = np.where(
+        return np.where(
             ratio - 1.0 > thr, ratio - thr, np.where(1.0 - ratio > thr, ratio + thr, 1.0)
         )
+
+    for rho in rhos:
         with np.errstate(all="raise"):  # an infinite rho meets no 0 * inf
-            assert np.array_equal(shrunken_ratios(a, b, rho), expected), rho
-            d, log_d = _ratio_shrinker(a, b)(rho)
-        assert np.array_equal(d, expected) and np.array_equal(log_d, np.log(expected)), rho
+            assert np.array_equal(shrunken_ratios(a, b, rho), expected(rho)), rho
     assert np.all(shrunken_ratios(a, b, 2.0 * bound) == 1.0)
+    # blocks of every size up to 5 with the tie at rho = 1, rho = 0, inf and
+    # NaN placed in each slot; the last block of a sweep may be short
+    for block in range(1, 6):
+        shrink = _ratio_shrinker(a, b, block)
+        for start in range(len(rhos)):
+            part = np.array((rhos * 2)[start : start + block])
+            with np.errstate(all="raise"):
+                d = shrink(part)
+            assert d.shape == (part.size, 3, 245)
+            for r, rho in enumerate(part):
+                assert np.array_equal(d[r], expected(rho)), rho
+            log_d = np.log(d, out=d)  # in place, as the cv sweep takes it
+            for r, rho in enumerate(part):
+                assert np.array_equal(log_d[r], np.log(expected(rho))), rho
 
 
 def test_ratio_shrinker_reuses_its_workspaces():
     rng = np.random.default_rng(12)
     a = rng.random((3, 50)) * 20 + 0.1
     b = rng.random((3, 50)) * 20 + 0.1
-    shrink = _ratio_shrinker(a, b)
-    first, first_log = shrink(0.5)
-    second, second_log = shrink(0.0)
-    assert second is first and second_log is first_log
-    assert np.array_equal(second, a / b)
+    shrink = _ratio_shrinker(a, b, 3)
+    first = shrink(np.array([0.5, 1.0, 2.0]))
+    second = shrink(np.array([0.0, 0.25, 4.0]))
+    assert second.ctypes.data == first.ctypes.data and np.shares_memory(first, second)
+    assert np.array_equal(second[0], a / b)
+    short = shrink(np.array([0.0]))  # a grid's last, shorter block
+    assert short.shape == (1, 3, 50) and short.ctypes.data == first.ctypes.data
+    assert np.array_equal(short[0], a / b)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [7, 1_001, 10_000])
+@pytest.mark.parametrize("unaligned", [False, True])
+def test_block_scores_equal_one_rho_scores(K, p, unaligned):
+    rng = np.random.default_rng(K * p + unaligned)
+    m = 4
+    rows = rng.poisson(20.0, (m, p + 1)).astype(float)
+    rows = rows[:, 1:] if unaligned else np.ascontiguousarray(rows[:, :p])
+    s_stars = rng.random(m) + 0.1
+    log_priors = np.log(np.full(K, 1.0 / K))
+    g_hat = rng.random(p) * 1e3
+    for R in range(1, 6):
+        d = rng.random((R, K, p)) + 0.5
+        log_d, offsets = np.log(d), d @ g_hat
+        block = _score_rows(rows, s_stars, log_d, offsets, log_priors)
+        assert block.shape == (R, m, K)
+        for r in range(R):
+            # the 2-D product and scores that PldaModel caches and predict uses
+            assert np.array_equal(offsets[r], d[r] @ g_hat), (R, r)
+            one = _score_rows(rows, s_stars, log_d[r], d[r] @ g_hat, log_priors)
+            assert np.array_equal(block[r], one), (R, r)
 
 
 # --- cross-validation ---
@@ -413,6 +456,15 @@ def test_cv_matches_per_rho_model_oracle(method, transform, prior_mode, grid):
         assert getattr(model, name) == getattr(refit, name), name
     assert model.size_factors.to_json() == refit.size_factors.to_json()
     assert transform == (model.alpha < 1.0)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 30])
+def test_cv_does_not_depend_on_the_sweep_block(monkeypatch, block):
+    data = overdispersed_dataset()
+    whole = cross_validate(data, folds=3, seed=7).to_json()
+    K, p = data.K, data.matrix.p
+    monkeypatch.setattr(plda, "_SWEEP_ELEMENTS", block * K * p)
+    assert cross_validate(data, folds=3, seed=7).to_json() == whole
 
 
 @pytest.mark.parametrize("transform", [True, False])

@@ -277,6 +277,25 @@ def test_calibrate_hands_back_the_power_bit_for_bit():
         assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
 
 
+def test_calibrate_of_rows_equals_calibrate_of_the_copied_rows():
+    config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
+    values = simulate(config).data.matrix.values
+    rows = np.array([0, 2, 3, 4, 6, 7, 9, 12, 14])
+    outside = values.copy()
+    outside[rows, 5] = 0.0  # positive only in rows left out: dropped within the rows
+    silent = outside.copy()
+    silent[4] = 0.0  # a silent observation among the rows
+    flat = np.full((6, 9), 5.0)  # a perfect rank-one fit: alpha = 1
+    flat[:, 2] = 0.0
+    cases = [(values, rows), (outside, rows), (silent, rows), (values, np.arange(15)),
+             (flat, np.array([1, 2, 5]))]
+    for draw, picked in cases:
+        whole, part = calibrate(draw[picked]), calibrate(draw, picked)
+        assert part[:-1] == whole[:-1]
+        assert np.array_equal(part.values.view(np.uint64), whole.values.view(np.uint64))
+    assert calibrate(flat, np.array([1, 2, 5])).alpha == 1.0
+
+
 def test_median_calibration_takes_at_most_five_evaluations():
     """Over criterion 1's first classify draw (full data and each cv fold's
     training rows), criterion 9's phi=1 draw and an n=300, p=1k draw."""
