@@ -28,6 +28,9 @@ from .errors import ParseError, ValidationError, in_file
 
 
 _NUMBER_FORMAT = "%.17g"
+# Every integer below this has at most 16 digits, which "%d" of its int64
+# and _NUMBER_FORMAT of its float64 both print in full and alike.
+_EXACT_INTEGERS = 2.0**53
 
 
 def format_number(x: float) -> str:
@@ -39,12 +42,21 @@ def format_number(x: float) -> str:
     return _NUMBER_FORMAT % x
 
 
-def format_row(row: np.ndarray) -> str:
-    """Tab-joined cells of a 1-D array, each as :func:`format_number` writes it.
+def _format_row(row: np.ndarray, float_cells: str, integer_cells: str) -> str:
+    """The cells of a 1-D array, each as :func:`format_number` writes it.
 
-    One ``%`` over the whole row, not one call per cell.
+    ``float_cells`` and ``integer_cells`` are the tab-joined ``%.17g`` and
+    ``%d`` templates of the row's width. A row of integers in [0, 2**53)
+    goes through ``%d`` of its int64 cast, which prints the same digits
+    faster. The sign test keeps out -0.0, which ``%d`` would print as
+    ``0``; the bound then keeps out NaN and infinity, so the cast never
+    meets a value it would warn on.
     """
-    return "\t".join([_NUMBER_FORMAT] * row.size) % tuple(row.tolist())
+    if not np.signbit(row).any() and row.max(initial=0.0) < _EXACT_INTEGERS:
+        integers = row.astype(np.int64)
+        if (integers == row).all():
+            return integer_cells % tuple(integers.tolist())
+    return float_cells % tuple(row.tolist())
 
 
 def json_number(obj: dict, key: str) -> float:
@@ -380,13 +392,24 @@ def read_table(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
 
 
 def write_table(path: str | Path, col_ids, row_ids, values: np.ndarray) -> None:
-    """Write the id-header TSV that :func:`read_table` reads back exactly."""
+    """Write the id-header TSV that :func:`read_table` reads back exactly.
+
+    ``values`` must be 2-D with one row per row id and one column per
+    column id; anything else is rejected before the file is opened.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(row_ids), len(col_ids)):
+        raise ValidationError(
+            f"table values have shape {values.shape}, expected {len(row_ids)} x {len(col_ids)}"
+        )
     check_cells(col_ids, "id")
     check_cells(row_ids, "id")
+    float_cells = "\t".join([_NUMBER_FORMAT] * len(col_ids))
+    integer_cells = "\t".join(["%d"] * len(col_ids))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("id\t" + "\t".join(col_ids) + "\n")
         for row_id, row in zip(row_ids, values):
-            handle.write(f"{row_id}\t{format_row(row)}\n")
+            handle.write(f"{row_id}\t{_format_row(row, float_cells, integer_cells)}\n")
 
 
 def read_count_matrix(path: str | Path, orientation: str = "samples") -> CountMatrix:

@@ -97,12 +97,9 @@ def _package(
     truth: SimulationTruth,
     config: SimulationConfig,
     prefix: str,
+    feature_ids: tuple[str, ...],
 ) -> SimulatedDataset:
-    matrix = CountMatrix(
-        counts,
-        tuple(f"{prefix}{i + 1}" for i in range(config.n)),
-        tuple(f"f{j + 1}" for j in range(config.p)),
-    )
+    matrix = CountMatrix(counts, tuple(f"{prefix}{i + 1}" for i in range(config.n)), feature_ids)
     data = LabeledDataset(
         matrix, labels, config.K, tuple(f"c{k}" for k in range(1, config.K + 1))
     )
@@ -121,7 +118,9 @@ def simulate(config: SimulationConfig) -> SimulatedDataset:
     truth = SimulationTruth(s=s, g=g, d=d, de_mask=de_mask)
     labels = _round_robin_labels(config.n, config.K)
     counts = _draw_counts(rng, s, truth, labels, config.phi)
-    return _package(counts, labels, truth, config, "s")
+    return _package(
+        counts, labels, truth, config, "s", tuple(f"f{j + 1}" for j in range(config.p))
+    )
 
 
 def split_train_test(
@@ -141,7 +140,8 @@ def split_train_test(
     )
     labels = _round_robin_labels(config.n, config.K)
     counts = _draw_counts(rng, s, truth, labels, config.phi)
-    return dataset, _package(counts, labels, truth, config, "t")
+    test = _package(counts, labels, truth, config, "t", dataset.data.matrix.feature_ids)
+    return dataset, test
 
 
 def write_truth(path, dataset: SimulatedDataset) -> None:
@@ -155,5 +155,5 @@ def write_truth(path, dataset: SimulatedDataset) -> None:
         "config": asdict(dataset.config),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+        # dumps runs the C encoder; dump would run the pure-Python one
+        handle.write(json.dumps(payload) + "\n")

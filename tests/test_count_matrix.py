@@ -21,9 +21,11 @@ from poiskit.count_matrix import (
     read_label_map,
     read_labels,
     read_partition,
+    read_table,
     write_count_matrix,
     write_labels,
     write_partition,
+    write_table,
 )
 from poiskit.dissimilarity import DissimilarityMatrix, read_dissimilarity, write_dissimilarity
 from poiskit.errors import ParseError, ValidationError
@@ -167,6 +169,69 @@ def test_writers_match_per_cell_format_number(tmp_path):
         for name, row in zip(names, full)
     )
     assert path.read_bytes() == expected.encode()
+
+
+# integer cells on both sides of the 2**53 edge of the integer row format, past
+# 1e17 (where "%.17g" turns to an exponent) and signed, which it must leave alone
+_EDGE_INTEGERS = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16, 1e17, 2.0**62, -1.0, -1e16]
+)
+_INTEGER_FLOAT = st.one_of(_EDGE_INTEGERS, st.integers(-(2**60), 2**60).map(float))
+_NOT_INTEGER = st.sampled_from([0.5, 1 / 3, 5e-324, 2.0**52 + 0.5, 1e-300, -2.5])
+_NOT_FINITE = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf])
+
+
+def _per_cell_table(col_ids, row_ids, values) -> bytes:
+    return ("id\t" + "\t".join(col_ids) + "\n" + "".join(
+        row_id + "\t" + "\t".join(format_number(v) for v in row) + "\n"
+        for row_id, row in zip(row_ids, values)
+    )).encode()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as a cast of NaN or infinity does
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_write_table_equals_per_cell_format_number(tmp_path_factory, data):
+    n, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    cells = data.draw(st.lists(_INTEGER_FLOAT, min_size=n * width, max_size=n * width))
+    values = np.array(cells).reshape(n, width)
+    for row in values:  # a row of integers but one cell, which may not be finite
+        odd = data.draw(st.sampled_from([None, _NOT_INTEGER, _NOT_FINITE]))
+        if odd is not None:
+            row[data.draw(st.integers(0, width - 1))] = data.draw(odd)
+    col_ids = [f"f{j}" for j in range(width)]
+    row_ids = [f"s{i}" for i in range(n)]
+    path = tmp_path_factory.mktemp("w") / "table.tsv"
+    write_table(path, col_ids, row_ids, values)
+    assert path.read_bytes() == _per_cell_table(col_ids, row_ids, values)
+
+
+@given(
+    cells=st.lists(
+        st.one_of(_EDGE_INTEGERS, st.integers(0, 2**64).map(float)), min_size=1, max_size=24
+    ),
+    width=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_tables_round_trip_bitwise(tmp_path_factory, cells, width):
+    values = np.array(cells + [0.0] * (-len(cells) % width)).reshape(-1, width)
+    col_ids = [f"f{j}" for j in range(width)]
+    row_ids = [f"s{i}" for i in range(values.shape[0])]
+    path = tmp_path_factory.mktemp("w") / "table.tsv"
+    write_table(path, col_ids, row_ids, values)
+    read_cols, read_rows, read_values = read_table(path)
+    assert (read_cols, read_rows) == (col_ids, row_ids)
+    assert np.array_equal(read_values.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "shape", [(6,), (1, 6), (3, 6), (2, 5), (2, 7), (2, 3, 2), (0, 6), ()]
+)
+def test_write_table_rejects_values_of_another_shape(tmp_path, shape):
+    path = tmp_path / "table.tsv"
+    with pytest.raises(ValidationError, match=r"shape .* expected 2 x 6"):
+        write_table(path, [f"f{j}" for j in range(6)], ["s0", "s1"], np.zeros(shape))
+    assert not path.exists()
 
 
 def test_write_to_unwritable_path_raises(tmp_path):

@@ -1,5 +1,9 @@
 """Negative-binomial simulator: moments, determinism, shared truth."""
 
+import io
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from poiskit.simulate import (
     draw_negative_binomial,
     simulate,
     split_train_test,
+    write_truth,
 )
 
 
@@ -95,6 +100,27 @@ def test_split_shares_population_but_not_samples():
     assert not np.array_equal(train.data.matrix.values, test.data.matrix.values)
     assert np.array_equal(train.data.labels, test.data.labels)
     assert test.data.matrix.shape == train.data.matrix.shape
+    assert test.data.matrix.feature_ids == train.data.matrix.feature_ids
+    assert test.data.matrix.sample_ids == tuple(f"t{i + 1}" for i in range(12))
+
+
+def test_truth_json_is_the_text_json_dump_writes(tmp_path):
+    dataset = simulate(SimulationConfig(n=12, p=300, K=3, phi=0.1, sigma=0.2, seed=5))
+    write_truth(tmp_path / "truth.json", dataset)
+    reference = io.StringIO()
+    truth = dataset.truth
+    json.dump(
+        {
+            "s": truth.s.tolist(),
+            "g": truth.g.tolist(),
+            "d": truth.d.tolist(),
+            "de_mask": truth.de_mask.tolist(),
+            "config": asdict(dataset.config),
+        },
+        reference,
+    )
+    text = (tmp_path / "truth.json").read_text(encoding="utf-8")
+    assert text == reference.getvalue() + "\n"
 
 
 def test_config_validation():
