@@ -11,7 +11,7 @@ from .count_matrix import (
 )
 from .dissimilarity import (
     DissimilarityMatrix,
-    feature_dissimilarity_matrix,
+    dissimilarity_matrix,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
     sq_euclidean_dissimilarity_matrix,

@@ -35,24 +35,12 @@ from .count_matrix import (
     write_partition,
     write_two_column_tsv,
 )
-from .dissimilarity import (
-    feature_dissimilarity_matrix,
-    poisson_dissimilarity_matrix,
-    read_dissimilarity,
-    sq_euclidean_dissimilarity_matrix,
-    write_dissimilarity,
-)
+from .dissimilarity import MEASURES, dissimilarity_matrix, read_dissimilarity, write_dissimilarity
 from .errors import PoiskitError, ValidationError, in_file
-from .plda import (
-    cross_validate,
-    fit,
-    predict_matrix,
-    read_model,
-    write_model,
-)
+from .plda import PRIOR_MODES, cross_validate, fit, predict_matrix, read_model, write_model
 from .replicate import replicate_classification, replicate_clustering
 from .simulate import SimulationConfig, simulate, write_truth
-from .size_factors import canonical_method
+from .size_factors import METHODS
 from .transform import find_alpha
 
 
@@ -66,8 +54,8 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _thread_count(text: str) -> int:
-    """Parse ``--threads``: a nonnegative integer, where 0 asks for the default."""
+def _nonnegative_int(text: str) -> int:
+    """Parse ``--threads`` (where 0 asks for the default) and ``--seed``."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got '{text}'")
     return int(text)
@@ -249,21 +237,13 @@ def cmd_cv(args, out_dir: Path):
 
 def cmd_dissim(args, out_dir: Path):
     matrix = _read_counts(args)
-    method = canonical_method(args.size_factors)
-    transform = args.transform == "on"
+    if args.axis == "features":
+        matrix = matrix.transpose()
     threads = _resolve_threads(args)
     with in_file(args.counts):
-        if args.axis == "features":
-            dm = feature_dissimilarity_matrix(
-                matrix, measure=args.measure, method=method, beta=args.beta,
-                transform=transform, threads=threads,
-            )
-        elif args.measure == "poisson":
-            dm = poisson_dissimilarity_matrix(
-                matrix, method=method, beta=args.beta, transform=transform, threads=threads
-            )
-        else:
-            dm = sq_euclidean_dissimilarity_matrix(matrix, method=method, threads=threads)
+        dm = dissimilarity_matrix(
+            matrix, args.measure, args.size_factors, args.beta, args.transform == "on", threads
+        )
     write_dissimilarity(dm, out_dir / "dissim.tsv")
     return [Path(args.counts)], {
         "outputs": ["dissim.tsv", "dissim.tsv.json"],
@@ -354,23 +334,20 @@ def _add_counts_options(parser):
 
 
 def _add_model_options(parser):
-    parser.add_argument(
-        "--size-factors", default="total",
-        choices=("total", "total-count", "quantile", "median-ratio"),
-    )
+    parser.add_argument("--size-factors", default="total", choices=("total", *METHODS))
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--transform", choices=("on", "off"), default="on")
 
 
 def _add_threads_option(parser):
     parser.add_argument(
-        "--threads", type=_thread_count, default=0, help="0 = POISKIT_THREADS or all cores"
+        "--threads", type=_nonnegative_int, default=0, help="0 = POISKIT_THREADS or all cores"
     )
 
 
 def _add_fit_options(parser):
     _add_model_options(parser)
-    parser.add_argument("--priors", choices=("uniform", "empirical"), default="uniform")
+    parser.add_argument("--priors", choices=PRIOR_MODES, default="uniform")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, required=True)
     sim.add_argument("--phi", type=float, required=True)
     sim.add_argument("--sigma", type=float, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_nonnegative_int, required=True)
     sim.add_argument("--de-prob", type=float, default=0.3)
     sim.set_defaults(func=cmd_simulate)
 
@@ -413,14 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--labels", required=True)
     cv.add_argument("--rho-grid", help="comma-separated values; default is automatic")
     cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_fit_options(cv)
     _add_threads_option(cv)
     cv.set_defaults(func=cmd_cv)
 
     dis = commands.add_parser("dissim", help="pairwise dissimilarity matrix")
     _add_counts_options(dis)
-    dis.add_argument("--measure", choices=("poisson", "sq-euclidean"), default="poisson")
+    dis.add_argument("--measure", choices=MEASURES, default="poisson")
     dis.add_argument("--axis", choices=("samples", "features"), default="samples")
     _add_model_options(dis)
     _add_threads_option(dis)
@@ -446,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--phi", type=float, required=True)
     rep.add_argument("--sigma", type=float, required=True)
     rep.add_argument("--reps", type=int, required=True)
-    rep.add_argument("--seed", type=int, required=True)
+    rep.add_argument("--seed", type=_nonnegative_int, required=True)
     rep.add_argument("--de-prob", type=float, default=0.3)
-    rep.add_argument("--measure", choices=("poisson", "sq-euclidean"), default="poisson")
+    rep.add_argument("--measure", choices=MEASURES, default="poisson")
     rep.add_argument("--cut-k", type=int, default=None)
     rep.add_argument("--folds", type=int, default=5)
     _add_model_options(rep)

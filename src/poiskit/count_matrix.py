@@ -512,11 +512,5 @@ def write_labels(path: str | Path, dataset: LabeledDataset) -> None:
     write_two_column_tsv(path, zip(dataset.matrix.sample_ids, names))
 
 
-def read_partition(path: str | Path) -> tuple[list[str], Partition]:
-    """Read an (id, cluster) file; cluster names index by first appearance."""
-    by_id = read_label_map(path)
-    return list(by_id), partition_of(by_id.values())
-
-
 def write_partition(path: str | Path, ids, partition: Partition) -> None:
     write_two_column_tsv(path, [(sid, str(int(c))) for sid, c in zip(ids, partition.assignments)])

@@ -7,8 +7,8 @@ log likelihood ratio against the shared-rates null is the dissimilarity.
 It is zero exactly on identical observations and nonnegative everywhere.
 
 Squared Euclidean distance after size-factor scaling is provided as the
-Gaussian-model baseline, and any measure can be applied to features by
-transposing the matrix. A ``beta=0`` path plugs in maximum-likelihood rate
+Gaussian-model baseline. :func:`dissimilarity_matrix` picks a measure by
+name, and measures features when given the transposed matrix. A ``beta=0`` path plugs in maximum-likelihood rate
 ratios instead of posterior means; it exists for validation against the
 multinomial likelihood-ratio statistic and is not meant for analysis.
 
@@ -327,7 +327,7 @@ def sq_euclidean_dissimilarity_matrix(
     return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
 
 
-def feature_dissimilarity_matrix(
+def dissimilarity_matrix(
     matrix: CountMatrix,
     measure: str = "poisson",
     method: str = "total-count",
@@ -335,13 +335,17 @@ def feature_dissimilarity_matrix(
     transform: bool = True,
     threads: int | None = None,
 ) -> DissimilarityMatrix:
-    """The chosen measure applied to features: the transposed computation."""
-    if measure not in MEASURES:
-        raise ArgumentError(f"unknown measure '{measure}' (choose from {MEASURES})")
-    flipped = matrix.transpose()
+    """All pairwise dissimilarities between samples under the named measure.
+
+    Features are measured by passing ``matrix.transpose()``. ``beta`` and
+    ``transform`` apply to the Poisson measure only.
+    """
+    # names are looked up at call time, so a rebinding of either builder holds here
     if measure == "poisson":
-        return poisson_dissimilarity_matrix(flipped, method, beta, transform, threads)
-    return sq_euclidean_dissimilarity_matrix(flipped, method, threads)
+        return poisson_dissimilarity_matrix(matrix, method, beta, transform, threads)
+    elif measure == "sq-euclidean":
+        return sq_euclidean_dissimilarity_matrix(matrix, method, threads)
+    raise ArgumentError(f"unknown measure '{measure}' (choose from {MEASURES})")
 
 
 def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import cer, complete_linkage, cut_tree
 from .count_matrix import Partition
-from .dissimilarity import poisson_dissimilarity_matrix, sq_euclidean_dissimilarity_matrix
+from .dissimilarity import dissimilarity_matrix
 from .errors import ValidationError
 from .parallel import map_ordered
 from .plda import cross_validate, predict_matrix
@@ -141,17 +141,7 @@ def replicate_clustering(
             n=n, p=p, K=K, phi=phi, sigma=sigma, de_prob=de_prob, seed=int(seeds[r, 0])
         )
         dataset = simulate(config)
-        if measure == "poisson":
-            dm = poisson_dissimilarity_matrix(
-                dataset.data.matrix, method=method, beta=beta,
-                transform=transform, threads=inside,
-            )
-        elif measure == "sq-euclidean":
-            dm = sq_euclidean_dissimilarity_matrix(
-                dataset.data.matrix, method=method, threads=inside
-            )
-        else:
-            raise ValidationError(f"unknown measure '{measure}'")
+        dm = dissimilarity_matrix(dataset.data.matrix, measure, method, beta, transform, inside)
         partition = cut_tree(complete_linkage(dm), cut_k)
         truth = Partition(dataset.data.labels, dataset.data.K)
         cers[r] = cer(partition, truth)

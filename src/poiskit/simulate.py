@@ -23,10 +23,10 @@ from .errors import ValidationError
 
 
 def _check_dispersion(phi: float) -> None:
-    """Reject a phi that the gamma-Poisson draw cannot use: negative, NaN, or
-    so small that its reciprocal, the gamma shape, overflows."""
-    if not phi >= 0:
-        raise ValidationError("dispersion phi must be nonnegative")
+    """Reject a phi that the gamma-Poisson draw cannot use: negative, NaN,
+    infinite, or so small that its reciprocal, the gamma shape, overflows."""
+    if not 0 <= phi < np.inf:
+        raise ValidationError("dispersion phi must be finite and nonnegative")
     if phi > 0 and not np.isfinite(1.0 / phi):
         raise ValidationError(f"dispersion phi={phi!r} is too small: 1/phi overflows")
 
@@ -47,8 +47,8 @@ class SimulationConfig:
         if self.n < self.K:
             raise ValidationError("need at least one sample per class (n >= K)")
         _check_dispersion(self.phi)
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValidationError("sigma must be finite and positive")
         if not 0 <= self.de_prob <= 1:
             raise ValidationError("de_prob must lie in [0, 1]")
 
@@ -74,10 +74,12 @@ def draw_negative_binomial(rng: np.random.Generator, mean, dispersion: float):
     """Counts with the stated mean and variance mean + mean^2 * dispersion."""
     mean = np.asarray(mean, dtype=np.float64)
     _check_dispersion(dispersion)
-    if dispersion == 0:
-        return rng.poisson(mean)
-    lam = rng.gamma(shape=1.0 / dispersion, scale=mean * dispersion)
-    return rng.poisson(lam)
+    try:
+        if dispersion == 0:
+            return rng.poisson(mean)
+        return rng.poisson(rng.gamma(shape=1.0 / dispersion, scale=mean * dispersion))
+    except ValueError as exc:  # a rate beyond numpy's samplers, or NaN
+        raise ValidationError(f"the rates are too large to sample ({exc})") from None
 
 
 def _round_robin_labels(n: int, K: int) -> np.ndarray:

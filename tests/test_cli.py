@@ -66,6 +66,49 @@ def test_simulate_rejects_negative_phi(tmp_path, capsys):
         assert "phi" in capsys.readouterr().err
 
 
+def exit_code(*argv):
+    """A run's exit status, whether ``main`` returns it or argparse exits with it.
+
+    An exception that escapes ``main``, which the console script would print
+    as a traceback, escapes here too and fails the test.
+    """
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", 4, "--p", 10, "--k", 2, "--phi", 0.1, "--sigma", 0.1],
+    ["cv", "--counts", "counts.tsv", "--labels", "labels.tsv"],
+    ["replicate", "classification", "--n", 4, "--p", 10, "--phi", 0.1, "--sigma", 0.1,
+     "--reps", 1],
+    ["replicate", "clustering", "--n", 4, "--p", 10, "--phi", 0.1, "--sigma", 0.1, "--reps", 1],
+])
+def test_a_negative_seed_exits_2(tmp_path, capsys, command):
+    assert exit_code(*command, "--seed", -1, "--out-dir", tmp_path / "x") == 2
+    assert "--seed: must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["replicate", "classification", "--reps", 1],
+    ["replicate", "clustering", "--reps", 1],
+])
+@pytest.mark.parametrize("phi, sigma, message", [
+    (0.01, "nan", "error: sigma must be finite and positive"),
+    (0.01, "inf", "error: sigma must be finite and positive"),
+    (0.01, 50, "error: the rates are too large to sample"),
+    ("inf", 0.5, "error: dispersion phi must be finite and nonnegative"),
+])
+def test_undrawable_simulation_settings_exit_2(tmp_path, capsys, command, phi, sigma, message):
+    assert exit_code(
+        *command, "--n", 6, "--p", 2000, "--k", 2, "--phi", phi, "--sigma", sigma,
+        "--seed", 1, "--out-dir", tmp_path / "x",
+    ) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_missing_required_arg_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "--n", 4, "--out-dir", tmp_path / "x")

@@ -17,10 +17,10 @@ from poiskit.count_matrix import (
     first_appearance_index,
     format_number,
     parse_rows,
+    partition_of,
     read_count_matrix,
     read_label_map,
     read_labels,
-    read_partition,
     read_table,
     write_count_matrix,
     write_labels,
@@ -35,6 +35,12 @@ def write(tmp_path, text, name="m.tsv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_partition(path):
+    """An (id, cluster) file read the way ``cer`` and ``cluster --sweep`` read one."""
+    by_id = read_label_map(path)
+    return list(by_id), partition_of(by_id.values())
 
 
 TSV_2X3 = "id\tf1\tf2\tf3\ns1\t1\t2\t3\ns2\t4\t5\t6\n"
@@ -439,7 +445,8 @@ def _damaged(lines: list[str], damage: str | None, row: int, column: int) -> lis
     return lines
 
 
-@pytest.mark.filterwarnings("error")  # numpy's reader must not warn on any table
+@pytest.mark.filterwarnings("error::UserWarning")  # numpy's reader must not warn on any table
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("damage", [None] + _LINE_DAMAGE + _DAMAGED_CELLS)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)

@@ -16,15 +16,16 @@ from poiskit.count_matrix import CountMatrix, write_count_matrix
 from poiskit.dissimilarity import (
     _POISSON_BUFFERS,
     _TILE_ELEMENTS,
+    MEASURES,
     DissimilarityMatrix,
-    feature_dissimilarity_matrix,
+    dissimilarity_matrix,
     poisson_dissimilarity_matrix,
     poisson_pair_dissimilarity,
     read_dissimilarity,
     sq_euclidean_dissimilarity_matrix,
     write_dissimilarity,
 )
-from poiskit.errors import ParseError, ValidationError
+from poiskit.errors import ArgumentError, ParseError, ValidationError
 from poiskit.replicate import replicate_clustering
 from poiskit.transform import find_alpha
 
@@ -164,8 +165,8 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
         if axis == "samples":
             dm = poisson_dissimilarity_matrix(m, method, beta, transform=False, threads=threads)
         else:
-            dm = feature_dissimilarity_matrix(
-                m, "poisson", method, beta, transform=False, threads=threads
+            dm = dissimilarity_matrix(
+                m.transpose(), "poisson", method, beta, transform=False, threads=threads
             )
         full = dm.full()
         for (i, j), (ref, pair) in expected.items():
@@ -195,8 +196,8 @@ def test_parallel_matches_serial_bitwise():
     runs = [
         lambda threads: poisson_dissimilarity_matrix(m, transform=False, threads=threads),
         lambda threads: sq_euclidean_dissimilarity_matrix(m, threads=threads),
-        lambda threads: feature_dissimilarity_matrix(
-            features, measure="sq-euclidean", threads=threads
+        lambda threads: dissimilarity_matrix(
+            features.transpose(), measure="sq-euclidean", threads=threads
         ),
     ]
     for compute in runs:
@@ -221,7 +222,7 @@ def test_sq_euclidean_threads_reach_the_pair_loop(monkeypatch, tmp_path):
     monkeypatch.setattr(dissimilarity, "_pairwise", spy)
     m = matrix(np.random.default_rng(54).integers(1, 40, (6, 9)).astype(float))
     sq_euclidean_dissimilarity_matrix(m, threads=3)
-    feature_dissimilarity_matrix(m, measure="sq-euclidean", threads=2)
+    dissimilarity_matrix(m.transpose(), measure="sq-euclidean", threads=2)
     write_count_matrix(m, tmp_path / "counts.tsv")
     for axis in ("samples", "features"):
         assert cli.main([
@@ -306,7 +307,7 @@ def test_beta_validation(beta):
     with pytest.raises(ValidationError, match="beta"):
         poisson_dissimilarity_matrix(m, beta=beta)
     with pytest.raises(ValidationError, match="beta"):
-        feature_dissimilarity_matrix(m, beta=beta)
+        dissimilarity_matrix(m.transpose(), beta=beta)
     with pytest.raises(ValidationError, match="beta"):
         poisson_pair_dissimilarity([1.0, 2.0], [3.0, 1.0], beta=beta)
 
@@ -323,7 +324,7 @@ def test_zero_total_observations_are_listed_up_front():
     assert str(excinfo.value) == message
     # on the feature axis the observations are the features
     with pytest.raises(ValidationError, match=r"^zero total count in 11 of 15 observations: 'f1'"):
-        feature_dissimilarity_matrix(matrix(values.T), transform=False)
+        dissimilarity_matrix(matrix(values.T).transpose(), transform=False)
 
 
 @pytest.mark.parametrize("threads", (1, 2))
@@ -376,15 +377,35 @@ def test_sq_euclidean_quadratic_scaling():
 def test_feature_matrix_equals_transposed_computation():
     rng = np.random.default_rng(61)
     m = matrix(rng.integers(1, 30, (5, 7)).astype(float))
-    by_feature = feature_dissimilarity_matrix(m, "poisson", transform=False)
+    by_feature = dissimilarity_matrix(m.transpose(), "poisson", transform=False)
     assert by_feature.n == 7
     direct = poisson_dissimilarity_matrix(m.transpose(), transform=False)
     assert np.array_equal(by_feature.condensed, direct.condensed)
 
 
+def test_dissimilarity_matrix_dispatches_on_the_measure_name():
+    m = matrix(np.random.default_rng(62).integers(1, 30, (5, 7)).astype(float))
+    builders = {
+        "poisson": lambda: poisson_dissimilarity_matrix(m, "quantile", 0.5, transform=True),
+        "sq-euclidean": lambda: sq_euclidean_dissimilarity_matrix(m, "quantile"),
+    }
+    assert tuple(builders) == MEASURES
+    for measure, build in builders.items():
+        dm = dissimilarity_matrix(m, measure, "q", beta=0.5, threads=2)
+        direct = build()
+        assert (dm.measure, dm.method) == (measure, "quantile")
+        assert np.array_equal(dm.condensed, direct.condensed)
+    with pytest.raises(ArgumentError, match=r"^unknown measure 'euclidean' \(choose from"):
+        dissimilarity_matrix(m, "euclidean")
+    with pytest.raises(ArgumentError, match="unknown measure 'euclidean'"):
+        replicate_clustering(
+            n=6, p=30, K=2, phi=0.0, sigma=0.1, reps=1, seed=1, measure="euclidean"
+        )
+
+
 def test_two_identical_features_are_indistinguishable():
     values = np.array([[2.0, 2.0, 9.0], [5.0, 5.0, 1.0], [7.0, 7.0, 4.0]])
-    dm = feature_dissimilarity_matrix(matrix(values), "poisson", transform=False)
+    dm = dissimilarity_matrix(matrix(values).transpose(), "poisson", transform=False)
     assert dm.full()[0, 1] == 0.0
 
 

@@ -136,3 +136,12 @@ def test_config_validation():
         SimulationConfig(n=6, p=10, K=3, phi=2.2e-313, sigma=0.1)
     with pytest.raises(ValidationError, match="phi"):
         draw_negative_binomial(np.random.default_rng(0), np.ones(3), 2.2e-313)
+    for sigma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="^sigma must be finite and positive$"):
+            SimulationConfig(n=6, p=10, K=3, phi=0.1, sigma=sigma)
+    with pytest.raises(ValidationError, match="^dispersion phi must be finite and nonnegative$"):
+        SimulationConfig(n=6, p=10, K=3, phi=np.inf, sigma=0.1)
+    rng = np.random.default_rng(0)
+    for mean, phi in ((1e300, 0.0), (1e300, 0.01), (np.nan, 0.01)):
+        with pytest.raises(ValidationError, match="^the rates are too large to sample"):
+            draw_negative_binomial(rng, np.full(3, mean), phi)
