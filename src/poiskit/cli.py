@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -120,12 +121,16 @@ def _read_labeled(args):
         return labeled_dataset(matrix, by_id)
 
 
-def cmd_simulate(args, out_dir: Path):
-    config = SimulationConfig(
+def _population(args) -> SimulationConfig:
+    """The population the flags of :func:`_add_population_options` describe."""
+    return SimulationConfig(
         n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
         de_prob=args.de_prob, seed=args.seed,
     )
-    dataset = simulate(config)
+
+
+def cmd_simulate(args, out_dir: Path):
+    dataset = simulate(_population(args))
     write_count_matrix(dataset.data.matrix, out_dir / "counts.tsv")
     write_labels(out_dir / "labels.tsv", dataset.data)
     write_truth(out_dir / "truth.json", dataset)
@@ -289,14 +294,13 @@ def cmd_cer(args, out_dir: Path):
 
 
 def cmd_replicate(args, out_dir: Path):
-    threads = _resolve_threads(args)
+    options = {
+        "method": args.size_factors, "transform": args.transform == "on",
+        "beta": args.beta, "threads": _resolve_threads(args),
+    }
+    population = _population(args)
     if args.task == "classification":
-        summary = replicate_classification(
-            n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
-            reps=args.reps, seed=args.seed, method=args.size_factors,
-            folds=args.folds, de_prob=args.de_prob,
-            transform=args.transform == "on", beta=args.beta, threads=threads,
-        )
+        summary = replicate_classification(population, args.reps, folds=args.folds, **options)
         headline = (
             f"mean test errors {summary['errors']['mean']:.3f} "
             f"(se {summary['errors']['se']:.3f}) over {args.reps} replicates"
@@ -309,10 +313,7 @@ def cmd_replicate(args, out_dir: Path):
         ]
     else:
         summary = replicate_clustering(
-            n=args.n, p=args.p, K=args.k, phi=args.phi, sigma=args.sigma,
-            reps=args.reps, seed=args.seed, measure=args.measure,
-            method=args.size_factors, cut_k=args.cut_k, de_prob=args.de_prob,
-            transform=args.transform == "on", beta=args.beta, threads=threads,
+            population, args.reps, measure=args.measure, cut_k=args.cut_k, **options
         )
         headline = (
             f"mean CER {summary['cer']['mean']:.4f} "
@@ -345,6 +346,24 @@ def _add_threads_option(parser):
     )
 
 
+def _add_seed_option(parser, default: int | None = None):
+    """``--seed``, required when it has no default."""
+    parser.add_argument("--seed", type=_nonnegative_int, required=default is None, default=default)
+
+
+def _add_population_options(parser, k_required: bool):
+    """The flags of :func:`_population`; the defaults are ``SimulationConfig``'s."""
+    default = {field.name: field.default for field in fields(SimulationConfig)}
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--p", type=int, required=True)
+    k_default = None if k_required else default["K"]
+    parser.add_argument("--k", type=int, required=k_required, default=k_default)
+    parser.add_argument("--phi", type=float, required=True)
+    parser.add_argument("--sigma", type=float, required=True)
+    _add_seed_option(parser)
+    parser.add_argument("--de-prob", type=float, default=default["de_prob"])
+
+
 def _add_fit_options(parser):
     _add_model_options(parser)
     parser.add_argument("--priors", choices=PRIOR_MODES, default="uniform")
@@ -359,13 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="subcommand", required=True)
 
     sim = commands.add_parser("simulate", help="generate negative-binomial count data")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--p", type=int, required=True)
-    sim.add_argument("--k", type=int, required=True)
-    sim.add_argument("--phi", type=float, required=True)
-    sim.add_argument("--sigma", type=float, required=True)
-    sim.add_argument("--seed", type=_nonnegative_int, required=True)
-    sim.add_argument("--de-prob", type=float, default=0.3)
+    _add_population_options(sim, k_required=True)
     sim.set_defaults(func=cmd_simulate)
 
     trans = commands.add_parser("transform", help="calibrate and apply the power transform")
@@ -390,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--labels", required=True)
     cv.add_argument("--rho-grid", help="comma-separated values; default is automatic")
     cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--seed", type=_nonnegative_int, default=0)
+    _add_seed_option(cv, default=0)
     _add_fit_options(cv)
     _add_threads_option(cv)
     cv.set_defaults(func=cmd_cv)
@@ -417,14 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = commands.add_parser("replicate", help="simulation benchmark harness")
     rep.add_argument("task", choices=("classification", "clustering"))
-    rep.add_argument("--n", type=int, required=True)
-    rep.add_argument("--p", type=int, required=True)
-    rep.add_argument("--k", type=int, default=3)
-    rep.add_argument("--phi", type=float, required=True)
-    rep.add_argument("--sigma", type=float, required=True)
+    _add_population_options(rep, k_required=False)
     rep.add_argument("--reps", type=int, required=True)
-    rep.add_argument("--seed", type=_nonnegative_int, required=True)
-    rep.add_argument("--de-prob", type=float, default=0.3)
     rep.add_argument("--measure", choices=MEASURES, default="poisson")
     rep.add_argument("--cut-k", type=int, default=None)
     rep.add_argument("--folds", type=int, default=5)

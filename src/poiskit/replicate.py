@@ -2,6 +2,8 @@
 
 Each harness repeats simulate -> method -> metric over independent seeds
 and reports per-replicate values plus the mean and its standard error.
+The population is one :class:`SimulationConfig`; its seed is the master
+seed that every replicate's seeds derive from.
 The classification harness tunes the shrinkage parameter by stratified
 cross-validation on a training draw, refits, and counts test errors on an
 independent draw of equal size from the same population; the clustering
@@ -18,6 +20,7 @@ multiply.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -50,17 +53,18 @@ def _summary(values: np.ndarray) -> dict[str, float]:
     return {"mean": float(values.mean()), "se": se}
 
 
+def _settings(population: SimulationConfig, reps: int, **task) -> dict[str, Any]:
+    """The population, the replicate count and master seed, then the task's own keys."""
+    keys = ("n", "p", "K", "phi", "sigma", "de_prob")
+    settings = {key: getattr(population, key) for key in keys}
+    return {**settings, "reps": reps, "seed": population.seed, **task}
+
+
 def replicate_classification(
-    n: int,
-    p: int,
-    K: int,
-    phi: float,
-    sigma: float,
+    population: SimulationConfig,
     reps: int,
-    seed: int,
     method: str = "total-count",
     folds: int = 5,
-    de_prob: float = 0.3,
     transform: bool = True,
     beta: float = 1.0,
     threads: int | None = None,
@@ -68,7 +72,7 @@ def replicate_classification(
     """Cross-validated classifier errors on fresh test draws."""
     if reps < 1:
         raise ValidationError("reps must be positive")
-    seeds = _rep_seeds(seed, reps, 3)
+    seeds = _rep_seeds(population.seed, reps, 3)
     test_errors = np.empty(reps)
     nonzero = np.empty(reps)
     selected = np.empty(reps)
@@ -76,10 +80,7 @@ def replicate_classification(
 
     def rep(r: int) -> None:
         train_seed, test_seed, cv_seed = (int(x) for x in seeds[r])
-        config = SimulationConfig(
-            n=n, p=p, K=K, phi=phi, sigma=sigma, de_prob=de_prob, seed=train_seed
-        )
-        train, test = split_train_test(simulate(config), test_seed)
+        train, test = split_train_test(simulate(replace(population, seed=train_seed)), test_seed)
         cv = cross_validate(
             train.data,
             method=method,
@@ -97,12 +98,10 @@ def replicate_classification(
     map_ordered(rep, reps, across)
     return {
         "task": "classification",
-        "settings": {
-            "n": n, "p": p, "K": K, "phi": phi, "sigma": sigma,
-            "de_prob": de_prob, "reps": reps, "seed": seed,
-            "size_factor_method": method, "folds": folds,
-            "transform": transform, "beta": beta,
-        },
+        "settings": _settings(
+            population, reps, size_factor_method=method, folds=folds,
+            transform=transform, beta=beta,
+        ),
         "test_errors": test_errors.tolist(),
         "nonzero_features": nonzero.tolist(),
         "selected_rho": selected.tolist(),
@@ -112,35 +111,26 @@ def replicate_classification(
 
 
 def replicate_clustering(
-    n: int,
-    p: int,
-    K: int,
-    phi: float,
-    sigma: float,
+    population: SimulationConfig,
     reps: int,
-    seed: int,
     measure: str = "poisson",
     method: str = "total-count",
     cut_k: int | None = None,
-    de_prob: float = 0.3,
     transform: bool = True,
     beta: float = 1.0,
     threads: int | None = None,
 ) -> dict[str, Any]:
-    """Clustering error rates of complete linkage on simulated draws."""
+    """Clustering error rates of complete linkage, cut at ``cut_k`` or K clusters."""
     if reps < 1:
         raise ValidationError("reps must be positive")
     if cut_k is None:
-        cut_k = K
-    seeds = _rep_seeds(seed, reps, 1)
+        cut_k = population.K
+    seeds = _rep_seeds(population.seed, reps, 1)
     cers = np.empty(reps)
     across, inside = _rep_threads(threads, reps)
 
     def rep(r: int) -> None:
-        config = SimulationConfig(
-            n=n, p=p, K=K, phi=phi, sigma=sigma, de_prob=de_prob, seed=int(seeds[r, 0])
-        )
-        dataset = simulate(config)
+        dataset = simulate(replace(population, seed=int(seeds[r, 0])))
         dm = dissimilarity_matrix(dataset.data.matrix, measure, method, beta, transform, inside)
         partition = cut_tree(complete_linkage(dm), cut_k)
         truth = Partition(dataset.data.labels, dataset.data.K)
@@ -149,12 +139,10 @@ def replicate_clustering(
     map_ordered(rep, reps, across)
     return {
         "task": "clustering",
-        "settings": {
-            "n": n, "p": p, "K": K, "phi": phi, "sigma": sigma,
-            "de_prob": de_prob, "reps": reps, "seed": seed,
-            "measure": measure, "size_factor_method": method,
-            "cut_k": cut_k, "transform": transform, "beta": beta,
-        },
+        "settings": _settings(
+            population, reps, measure=measure, size_factor_method=method,
+            cut_k=cut_k, transform=transform, beta=beta,
+        ),
         "cers": cers.tolist(),
         "cer": _summary(cers),
     }

@@ -44,7 +44,8 @@ def test_criterion_1_classification_replication():
         # n=12 with K=3 stratifies into 4 folds; the reduction is expected
         warnings.filterwarnings("ignore", message="reducing folds")
         out = replicate_classification(
-            n=12, p=10_000, K=3, phi=0.01, sigma=0.05, reps=50, seed=20260810, threads=2
+            SimulationConfig(n=12, p=10_000, K=3, phi=0.01, sigma=0.05, seed=20260810),
+            reps=50, threads=2,
         )
     mean = out["errors"]["mean"]
     report(
@@ -57,7 +58,8 @@ def test_criterion_1_classification_replication():
 def test_criterion_2_clustering_replication_low_dispersion():
     """Mean CER of Poisson/total-count clustering at phi=0.01 is at most 0.05."""
     out = replicate_clustering(
-        n=25, p=10_000, K=3, phi=0.01, sigma=0.15, reps=50, seed=31, cut_k=3, threads=2
+        SimulationConfig(n=25, p=10_000, K=3, phi=0.01, sigma=0.15, seed=31),
+        reps=50, cut_k=3, threads=2,
     )
     mean = out["cer"]["mean"]
     report(2, mean <= 0.05, f"mean CER {mean:.4f} (se {out['cer']['se']:.4f}), limit 0.05")
@@ -66,7 +68,8 @@ def test_criterion_2_clustering_replication_low_dispersion():
 def test_criterion_3_clustering_replication_high_dispersion():
     """Mean CER at phi=1, sigma=0.5 falls in [0.15, 0.40]."""
     out = replicate_clustering(
-        n=25, p=10_000, K=3, phi=1.0, sigma=0.5, reps=50, seed=32, cut_k=3, threads=2
+        SimulationConfig(n=25, p=10_000, K=3, phi=1.0, sigma=0.5, seed=32),
+        reps=50, cut_k=3, threads=2,
     )
     mean = out["cer"]["mean"]
     report(

@@ -27,6 +27,7 @@ from poiskit.dissimilarity import (
 )
 from poiskit.errors import ArgumentError, ParseError, ValidationError
 from poiskit.replicate import replicate_clustering
+from poiskit.simulate import SimulationConfig
 from poiskit.transform import find_alpha
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -230,7 +231,8 @@ def test_sq_euclidean_threads_reach_the_pair_loop(monkeypatch, tmp_path):
             "--axis", axis, "--threads", "4", "--out-dir", str(tmp_path / axis),
         ]) == 0
     replicate_clustering(
-        n=6, p=30, K=2, phi=0.0, sigma=0.1, reps=1, seed=1, measure="sq-euclidean", threads=5
+        SimulationConfig(n=6, p=30, K=2, phi=0.0, sigma=0.1, seed=1), reps=1,
+        measure="sq-euclidean", threads=5,
     )
     assert seen == [3, 2, 4, 4, 5]
 
@@ -399,7 +401,8 @@ def test_dissimilarity_matrix_dispatches_on_the_measure_name():
         dissimilarity_matrix(m, "euclidean")
     with pytest.raises(ArgumentError, match="unknown measure 'euclidean'"):
         replicate_clustering(
-            n=6, p=30, K=2, phi=0.0, sigma=0.1, reps=1, seed=1, measure="euclidean"
+            SimulationConfig(n=6, p=30, K=2, phi=0.0, sigma=0.1, seed=1), reps=1,
+            measure="euclidean",
         )
 
 
