@@ -25,6 +25,7 @@ from . import __version__
 from .clustering import cer, cer_sweep, complete_linkage, cut_tree, write_newick
 from .count_matrix import (
     check_cells,
+    first_appearance_index,
     format_number,
     labeled_dataset,
     names_of,
@@ -190,7 +191,7 @@ def cmd_predict(args, out_dir: Path):
         by_id = read_label_map(args.labels)
         with in_file(f"{args.counts} and {args.labels}"):
             names = names_of(by_id, matrix.sample_ids)
-        index_of = {name: k + 1 for k, name in enumerate(model.class_names)}
+        index_of = first_appearance_index(model.class_names)
         unknown = [name for name in names if name not in index_of]
         if unknown:
             raise ValidationError(

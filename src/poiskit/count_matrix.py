@@ -66,6 +66,23 @@ def json_number(obj: dict, key: str) -> float:
     return float(obj[key])
 
 
+def check_json_leaves(value, key: str, types: tuple[type, ...], kind: str) -> None:
+    """Reject a parsed JSON value that is not one of ``types`` or a list (of lists) of them."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(reversed(item))
+        elif type(item) not in types:
+            raise ValidationError(f"{key} must hold JSON {kind} only, got {json.dumps(item)}")
+
+
+def json_numbers(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` of a parsed JSON object, a number or a list (of lists) of them, as float64."""
+    check_json_leaves(obj[key], key, (int, float), "numbers")
+    return np.asarray(obj[key], dtype=np.float64)
+
+
 def encode_floats(values: np.ndarray) -> str:
     """The little-endian float64 bytes of ``values``, in C order, as base64.
 
@@ -80,12 +97,12 @@ def json_floats(obj: dict, key: str, shape: tuple[int, ...] | None = None) -> np
 
     A string must be :func:`encode_floats` of a vector, or of an array of
     ``shape`` when one is given; a malformed one is an error. Any other
-    value, such as the list of numbers that older files hold, goes through
-    ``np.asarray`` as it is.
+    value, such as the list of numbers that older files hold, is read by
+    :func:`json_numbers`.
     """
     value = obj[key]
     if not isinstance(value, str):
-        return np.asarray(value, dtype=np.float64)
+        return json_numbers(obj, key)
     try:
         data = base64.b64decode(value, validate=True)
     except ValueError as exc:  # binascii.Error, or a character that is not ASCII

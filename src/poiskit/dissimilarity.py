@@ -86,15 +86,30 @@ class DissimilarityMatrix:
 
     @staticmethod
     def from_full(values: np.ndarray, ids, measure: str, method: str) -> "DissimilarityMatrix":
-        """Validate and condense a full square matrix."""
+        """Validate and condense a full square matrix.
+
+        An error names the first offending cell in row-major order and its value.
+        """
         values = np.asarray(values, dtype=np.float64)
         n = len(ids)
         if values.shape != (n, n):
             raise ValidationError("dissimilarity matrix must be square and match ids")
+
+        def cell(i, j) -> str:
+            return f"('{ids[i]}', '{ids[j]}') is {float(values[i, j])}"
+
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
+            i, j = np.argwhere(~((values >= 0) & (values < np.inf)))[0]
+            raise ValidationError(f"dissimilarities must be finite and nonnegative: {cell(i, j)}")
         if not np.array_equal(values, values.T):
-            raise ValidationError("dissimilarity matrix is not symmetric")
-        if np.any(np.diag(values) != 0):
-            raise ValidationError("dissimilarity matrix diagonal must be zero")
+            i, j = np.argwhere(values != values.T)[0]
+            raise ValidationError(
+                f"dissimilarity matrix is not symmetric: {cell(i, j)} but {cell(j, i)}"
+            )
+        nonzero = np.flatnonzero(np.diag(values))
+        if nonzero.size:
+            i = nonzero[0]
+            raise ValidationError(f"dissimilarity matrix diagonal must be zero: {cell(i, i)}")
         return DissimilarityMatrix(values[np.triu_indices(n, 1)], tuple(ids), measure, method)
 
 

@@ -21,9 +21,11 @@ import numpy as np
 from .count_matrix import (
     CountMatrix,
     LabeledDataset,
+    check_unique,
     encode_floats,
     json_floats,
     json_number,
+    json_numbers,
     read_json_object,
 )
 from .errors import ArgumentError, ValidationError, in_file
@@ -153,6 +155,7 @@ class PldaModel:
             raise ValidationError("alpha must lie in (0, 1]")
         if len(self.class_names) != K:
             raise ValidationError("class_names length must equal K")
+        check_unique(self.class_names, "class")
         for arr in (g, d, priors):
             arr.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
@@ -204,7 +207,7 @@ class PldaModel:
         return PldaModel(
             g_hat=g_hat,
             d_hat=json_floats(obj, "d_hat", shape=(len(obj["class_names"]), g_hat.size)),
-            priors=np.asarray(obj["priors"]),
+            priors=json_numbers(obj, "priors"),
             beta=json_number(obj, "beta"),
             rho=json_number(obj, "rho"),
             size_factors=sf,

@@ -21,7 +21,14 @@ from typing import Any
 
 import numpy as np
 
-from .count_matrix import CountMatrix, encode_floats, json_floats, json_number
+from .count_matrix import (
+    CountMatrix,
+    check_json_leaves,
+    encode_floats,
+    json_floats,
+    json_number,
+    json_numbers,
+)
 from .errors import ValidationError
 
 METHODS = ("total-count", "quantile", "median-ratio")
@@ -76,6 +83,8 @@ class SizeFactors:
         Every float entry must be finite, the normalizer positive and ``p`` a
         positive integer.
         """
+        if not isinstance(obj["aux"], dict):
+            raise ValidationError("aux must be a JSON object")
         method, aux = canonical_method(obj["method"]), dict(obj["aux"])
         normalizer = _NORMALIZER[method]
         aux[normalizer] = json_number(aux, normalizer)
@@ -90,11 +99,12 @@ class SizeFactors:
                 if not np.all(np.isfinite(aux[key])):
                     raise ValidationError(f"aux {key} must be finite")
         if "usable" in aux:
+            check_json_leaves(aux["usable"], "aux usable", (bool,), "booleans")
             aux["usable"] = np.asarray(aux["usable"], dtype=bool)
         for key in ("geometric_means", "usable") if method == "median-ratio" else ():
             if aux[key].shape != (p,):
                 raise ValidationError(f"aux {key} must hold {p:g} entries")
-        return SizeFactors(np.asarray(obj["values"]), method, aux)
+        return SizeFactors(json_numbers(obj, "values"), method, aux)
 
 
 def _aux_json(key: str, val):

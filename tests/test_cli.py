@@ -326,12 +326,18 @@ def predict_with(root, model, name="edited.json"):
 @pytest.mark.parametrize(
     "path, value",
     [(("rho",), None), (("beta",), "1"), (("alpha",), None), (("priors",), "x"),
-     (("size_factors", "aux"), None), (("class_names",), "abc")],
+     (("size_factors", "aux"), None), (("class_names",), "abc"),
+     (("priors",), ["0.5", "0.25", "0.25"]), (("priors",), [True, 0.5]),
+     (("priors",), [True, 0, 0]), (("priors",), [0.5, {}, 0.5]),
+     (("size_factors", "values"), ["0.5", "0.5"]), (("g_hat",), [1.0, "2"]),
+     (("size_factors", "aux", "usable"), ["no", *[0] * 149])],
 )
 def test_model_field_of_wrong_type_exits_2(trained, capsys, path, value):
     root, models = trained
-    assert predict_with(root, edited(models["total-count"], path, value)) == 2
-    assert f"{root / 'edited.json'}: " in capsys.readouterr().err
+    model = models["median-ratio" if path[-1] == "usable" else "total-count"]
+    assert predict_with(root, edited(model, path, value)) == 2
+    err = capsys.readouterr().err
+    assert f"{root / 'edited.json'}: " in err and path[-1] in err
 
 
 def _field_paths(obj, prefix=()):
@@ -426,6 +432,19 @@ def test_class_name_a_tsv_cannot_hold_exits_2_naming_it(trained, capsys, name):
         f"error: {root / 'edited.json'}: class name {name!r} holds a tab or line break, "
         "which a TSV cell cannot\n"
     )
+
+
+def test_repeated_class_name_exits_2_naming_it(trained, capsys):
+    """Labels cannot be mapped to a model's classes when a class name repeats."""
+    root, models = trained
+    model = edited(models["total-count"], ("class_names",), ["c1", "c1", "c3"])
+    path = root / "edited.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    assert run(
+        "predict", "--counts", root / "counts.tsv", "--model", path,
+        "--labels", root / "labels.tsv", "--out-dir", root / "p",
+    ) == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate class id: 'c1'\n"
 
 
 def test_model_json_holds_only_what_prediction_reads(trained):
@@ -698,6 +717,24 @@ def test_cluster_rejects_asymmetric_matrix(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("id\ta\tb\na\t0\t1\nb\t2\t0\n", encoding="utf-8")
     assert run("cluster", "--dissim", bad, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0\t1\t2", "1\t0\tnan", "2\tnan\t0"],
+     "dissimilarities must be finite and nonnegative: ('b', 'c') is nan"),
+    (["0\t1\t2", "1\t0\t-3", "2\t-3\t0"],
+     "dissimilarities must be finite and nonnegative: ('b', 'c') is -3.0"),
+    (["0\t1\t2", "1\t0\t3", "2.5\t4\t0"],
+     "dissimilarity matrix is not symmetric: ('a', 'c') is 2.0 but ('c', 'a') is 2.5"),
+    (["0\t1\t2", "1\t0.5\t3", "2\t3\t1e-300"],
+     "dissimilarity matrix diagonal must be zero: ('b', 'b') is 0.5"),
+])
+def test_cluster_error_names_the_offending_cell(tmp_path, capsys, rows, message):
+    bad = tmp_path / "bad.tsv"
+    lines = ["id\ta\tb\tc"] + [f"{i}\t{row}" for i, row in zip("abc", rows)]
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("cluster", "--dissim", bad, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("key, value", _BAD_SIDECAR_FIELDS)
