@@ -258,14 +258,16 @@ def cmd_dissim(args, out_dir: Path):
 
 
 def cmd_cluster(args, out_dir: Path):
+    if args.sweep and not args.labels:
+        raise ValidationError("--sweep needs a --labels reference file")
+    if args.labels and not args.sweep:
+        raise ValidationError("--labels needs --sweep, which reads it")
     dm = read_dissimilarity(args.dissim)
     dendrogram = complete_linkage(dm)
     partition = cut_tree(dendrogram, args.cut_k)
     inputs = [Path(args.dissim)]
     extra = {"outputs": ["tree.newick", "partition.tsv"]}
     if args.sweep:
-        if not args.labels:
-            raise ValidationError("--sweep needs a --labels reference file")
         by_id = read_label_map(args.labels)
         with in_file(f"{args.dissim} and {args.labels}"):
             reference = partition_of(names_of(by_id, dm.ids))
@@ -306,12 +308,7 @@ def cmd_replicate(args, out_dir: Path):
             f"mean test errors {summary['errors']['mean']:.3f} "
             f"(se {summary['errors']['se']:.3f}) over {args.reps} replicates"
         )
-        rows = [
-            ("mean_errors", summary["errors"]["mean"]),
-            ("se_errors", summary["errors"]["se"]),
-            ("mean_nonzero", summary["nonzero"]["mean"]),
-            ("se_nonzero", summary["nonzero"]["se"]),
-        ]
+        stats = ("errors", "nonzero")
     else:
         summary = replicate_clustering(
             population, args.reps, measure=args.measure, cut_k=args.cut_k, **options
@@ -320,9 +317,14 @@ def cmd_replicate(args, out_dir: Path):
             f"mean CER {summary['cer']['mean']:.4f} "
             f"(se {summary['cer']['se']:.4f}) over {args.reps} replicates"
         )
-        rows = [("mean_cer", summary["cer"]["mean"]), ("se_cer", summary["cer"]["se"])]
+        stats = ("cer",)
+    rows = [
+        (f"{kind}_{stat}", format_number(summary[stat][kind]))
+        for stat in stats
+        for kind in ("mean", "se")
+    ]
     _write_json(out_dir / "summary.json", summary)
-    write_two_column_tsv(out_dir / "summary.tsv", [(k, format_number(v)) for k, v in rows])
+    write_two_column_tsv(out_dir / "summary.tsv", rows)
     print(headline)
     return [], {"outputs": ["summary.json", "summary.tsv"], "headline": headline}
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .count_matrix import Partition
 from .dissimilarity import DissimilarityMatrix
-from .errors import PoiskitError, ValidationError
+from .errors import ValidationError
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
@@ -104,15 +104,7 @@ def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
         merges[step] = (left, right, height, sizes[u] + sizes[v])
         min_leaf.append(min(min_leaf[u], min_leaf[v]))
         sizes.append(sizes[u] + sizes[v])
-    heights = merges[:, 2]
-    if np.any(np.diff(heights) < 0):
-        raise PoiskitError("internal error: merge heights decreased")
-    return Dendrogram(merges, d.ids)
-
-
-def _check_cut(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must lie in 1..{n}, got {k}")
+    return Dendrogram(merges, d.ids)  # which checks the heights are nondecreasing
 
 
 def cut_tree(dend: Dendrogram, k: int) -> Partition:
@@ -121,7 +113,8 @@ def cut_tree(dend: Dendrogram, k: int) -> Partition:
     Clusters are numbered 1..k in order of their smallest leaf index.
     """
     n = dend.n
-    _check_cut(k, n)
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must lie in 1..{n}, got {k}")
     parent = list(range(2 * n - 1))
 
     def find(x: int) -> int:
@@ -212,18 +205,15 @@ def _merge_error_rates(dend: Dendrogram, truth: Partition) -> list[float]:
     return rates
 
 
-def cer_sweep(dend: Dendrogram, truth: Partition, ks=None) -> list[tuple[int, float]]:
-    """CER against a reference partition for each cut size (default 2..n).
+def cer_sweep(dend: Dendrogram, truth: Partition) -> list[tuple[int, float]]:
+    """CER against a reference partition for each cut size 2..n.
 
     Equals ``cer(cut_tree(dend, k), truth)`` for every k, from one replay
     of the merges instead of one cut per k.
     """
     n = dend.n
-    ks = range(2, n + 1) if ks is None else [int(k) for k in ks]
-    for k in ks:
-        _check_cut(k, n)
-    rates = _merge_error_rates(dend, truth) if ks else []
-    return [(k, rates[n - k]) for k in ks]
+    rates = _merge_error_rates(dend, truth) if n > 1 else []
+    return [(k, rates[n - k]) for k in range(2, n + 1)]
 
 
 def _newick_label(name: str) -> str:

@@ -303,6 +303,20 @@ def read_json_object(path: str | Path, not_object: str) -> dict:
     return obj
 
 
+def write_json_object(path: str | Path, obj: dict) -> None:
+    """Write ``json.dump(obj)`` and a newline.
+
+    Each field is encoded by ``json.dumps``, which runs the C encoder that
+    ``json.dump`` skips; one string per field keeps the peak memory at the
+    largest field rather than the whole document.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            handle.write((", " if i else "") + json.dumps(key) + ": " + json.dumps(value))
+        handle.write("}\n")
+
+
 def check_cells(cells, kind: str) -> None:
     """Reject the first of the strings ``cells`` that holds a tab or line break."""
     joined = "".join(cells)

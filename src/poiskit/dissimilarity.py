@@ -28,13 +28,19 @@ disjoint slots and never change the result.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .count_matrix import CountMatrix, check_unique, read_json_object, read_table, write_table
+from .count_matrix import (
+    CountMatrix,
+    check_unique,
+    read_json_object,
+    read_table,
+    write_json_object,
+    write_table,
+)
 from .errors import ArgumentError, ValidationError, in_file
 from .parallel import map_ordered
 from .size_factors import (
@@ -367,7 +373,7 @@ def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:
     """Full symmetric TSV plus a JSON sidecar recording measure and method."""
     write_table(path, dm.ids, dm.ids, dm.full())
     sidecar = {"measure": dm.measure, "method": dm.method, "n": dm.n}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n", encoding="utf-8")
+    write_json_object(str(path) + ".json", sidecar)
 
 
 def read_dissimilarity(path) -> DissimilarityMatrix:

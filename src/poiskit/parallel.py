@@ -26,15 +26,15 @@ T = TypeVar("T")
 _local = threading.local()
 
 
-def warn(message: str, category: type[Warning] = RuntimeWarning) -> None:
-    """``warnings.warn(message, category)`` from the caller's line.
+def warn(message: str) -> None:
+    """``warnings.warn(message, RuntimeWarning)`` from the caller's line.
 
     Inside a unit of :func:`map_ordered` the warning is held until the
     units are done. ``warnings.catch_warnings`` cannot hold it: it swaps
     process-wide state, so it is not thread-safe.
     """
     frame = sys._getframe(1)
-    _issue((message, category, frame.f_code.co_filename, frame.f_lineno, frame.f_globals))
+    _issue((message, frame.f_code.co_filename, frame.f_lineno, frame.f_globals))
 
 
 def _issue(record) -> None:
@@ -43,9 +43,9 @@ def _issue(record) -> None:
     if held is not None:
         held.append(record)
         return
-    message, category, filename, lineno, module_globals = record
+    message, filename, lineno, module_globals = record
     warnings.warn_explicit(
-        message, category, filename, lineno,
+        message, RuntimeWarning, filename, lineno,
         module=module_globals.get("__name__", "<string>"),
         registry=module_globals.setdefault("__warningregistry__", {}),
         module_globals=module_globals,

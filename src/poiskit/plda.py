@@ -12,7 +12,6 @@ reproduces the plain posterior-mean ratios exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -27,6 +26,7 @@ from .count_matrix import (
     json_number,
     json_numbers,
     read_json_object,
+    write_json_object,
 )
 from .errors import ArgumentError, ValidationError, in_file
 from .parallel import map_ordered, warn
@@ -156,6 +156,14 @@ class PldaModel:
         if len(self.class_names) != K:
             raise ValidationError("class_names length must equal K")
         check_unique(self.class_names, "class")
+        if self.size_factors is not None and self.size_factors.aux["p"] != p:
+            raise ValidationError(
+                f"size_factors aux p is {self.size_factors.aux['p']!r}, but g_hat has {p} features"
+            )
+        if len(self.feature_ids) not in (0, p):
+            raise ValidationError(
+                f"feature_ids holds {len(self.feature_ids)} ids, but g_hat has {p} features"
+            )
         for arr in (g, d, priors):
             arr.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
@@ -166,7 +174,8 @@ class PldaModel:
         # cached score ingredients
         object.__setattr__(self, "_log_d", np.log(d))
         object.__setattr__(self, "_offsets", d @ g)
-        object.__setattr__(self, "_log_priors", np.log(priors))
+        with np.errstate(divide="ignore"):  # a zero prior's class is never predicted
+            object.__setattr__(self, "_log_priors", np.log(priors))
 
     @property
     def K(self) -> int:
@@ -183,7 +192,6 @@ class PldaModel:
     def to_json(self) -> dict[str, Any]:
         return {
             "format": "plda-model",
-            "size_factor_method": None if self.size_factors is None else self.size_factors.method,
             "size_factors": None if self.size_factors is None else self.size_factors.to_json(),
             "alpha": self.alpha,
             "beta": self.beta,
@@ -413,17 +421,16 @@ def default_rho_grid(
     method: str = "total-count",
     beta: float = 1.0,
     transform: bool = True,
-    size: int = 30,
 ) -> np.ndarray:
-    """0 plus a geometric sweep up to the full-shrinkage bound of the data."""
-    return _rho_grid(_fit_stats(data, method, beta, "uniform", transform), size)
+    """0 plus a geometric sweep of 29 values up to the full-shrinkage bound of the data."""
+    return _rho_grid(_fit_stats(data, method, beta, "uniform", transform))
 
 
-def _rho_grid(stats: FitStats, size: int = 30) -> np.ndarray:
+def _rho_grid(stats: FitStats) -> np.ndarray:
     bound = shrinkage_upper_bound(stats)
     if bound <= 0:
         return np.array([0.0])
-    return np.concatenate([[0.0], np.geomspace(1e-3 * bound, bound, size - 1)])
+    return np.concatenate([[0.0], np.geomspace(1e-3 * bound, bound, 29)])
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> tuple[np.ndarray, int]:
@@ -601,17 +608,8 @@ def cross_validate(
 
 
 def write_model(model: PldaModel, path) -> None:
-    """Write ``json.dump(model.to_json())`` and a newline.
-
-    Each field is encoded by ``json.dumps``, which runs the C encoder that
-    ``json.dump`` skips; one string per field keeps the peak memory at the
-    largest field rather than the whole document.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{")
-        for i, (key, value) in enumerate(model.to_json().items()):
-            handle.write((", " if i else "") + json.dumps(key) + ": " + json.dumps(value))
-        handle.write("}\n")
+    """Write ``model.to_json()`` as one line of JSON."""
+    write_json_object(path, model.to_json())
 
 
 def read_model(path) -> PldaModel:

@@ -13,12 +13,11 @@ seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .count_matrix import CountMatrix, LabeledDataset
+from .count_matrix import CountMatrix, LabeledDataset, write_json_object
 from .errors import ValidationError
 
 
@@ -156,6 +155,4 @@ def write_truth(path, dataset: SimulatedDataset) -> None:
         "de_mask": truth.de_mask.astype(bool).tolist(),
         "config": asdict(dataset.config),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        # dumps runs the C encoder; dump would run the pure-Python one
-        handle.write(json.dumps(payload) + "\n")
+    write_json_object(path, payload)

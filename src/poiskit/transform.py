@@ -177,9 +177,9 @@ def calibrate(values: np.ndarray, rows: np.ndarray | None = None) -> Calibration
     ``rows`` (distinct row indices, all rows when None) restricts the search
     to those rows of ``values``, which are copied once, without the rows and
     columns whose totals are zero. ``values`` of the result is those rows
-    raised to ``alpha`` (``values`` itself at alpha = 1 with all rows). When
-    the last statistic was computed at the returned exponent, that power is
-    handed back rather than computed again, with any dropped row or column
+    raised to ``alpha`` (``values`` itself at alpha = 1 with all rows). The
+    power is that of the last statistic, recomputed in its buffer only if
+    the search ended at another exponent, with any dropped row or column
     filled with zeros (0 ** alpha is 0).
     """
     sub, kept = _positive_submatrix(values, rows)
@@ -199,22 +199,19 @@ def calibrate(values: np.ndarray, rows: np.ndarray | None = None) -> Calibration
 
     alpha, statistic, converged, seen = _search(stat_of, target)
     del work  # free what is no longer read before building the transformed array
-    if alpha != 1.0 and held == alpha:
-        if kept is None:
-            transformed = powered
+    if held != alpha:  # the search's last evaluation was at another exponent
+        np.power(sub, alpha, out=powered)
+    if kept is None:
+        transformed = sub if alpha == 1.0 else powered
+    else:
+        del sub
+        if alpha == 1.0:  # the rows themselves
+            del powered
+            transformed = values if rows is None else values[rows]
         else:
-            del sub
             n_rows = values.shape[0] if rows is None else len(rows)
             transformed = np.zeros((n_rows, values.shape[1]))
             transformed[kept] = powered
-    else:
-        del powered
-        if kept is None:
-            picked = sub  # the rows themselves
-        else:
-            del sub
-            picked = values if rows is None else values[rows]
-        transformed = picked if alpha == 1.0 else picked**alpha
     return Calibration(
         alpha, statistic, target, converged, _monotone(seen), len(seen), transformed
     )

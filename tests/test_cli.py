@@ -330,14 +330,15 @@ def predict_with(root, model, name="edited.json"):
      (("priors",), ["0.5", "0.25", "0.25"]), (("priors",), [True, 0.5]),
      (("priors",), [True, 0, 0]), (("priors",), [0.5, {}, 0.5]),
      (("size_factors", "values"), ["0.5", "0.5"]), (("g_hat",), [1.0, "2"]),
-     (("size_factors", "aux", "usable"), ["no", *[0] * 149])],
+     (("size_factors", "aux", "usable"), ["no", *[0] * 149]),
+     (("size_factors", "aux", "p"), 5), (("feature_ids",), [f"f{j}" for j in range(1, 11)])],
 )
 def test_model_field_of_wrong_type_exits_2(trained, capsys, path, value):
     root, models = trained
     model = models["median-ratio" if path[-1] == "usable" else "total-count"]
     assert predict_with(root, edited(model, path, value)) == 2
     err = capsys.readouterr().err
-    assert f"{root / 'edited.json'}: " in err and path[-1] in err
+    assert err.startswith(f"error: {root / 'edited.json'}: ") and path[-1] in err
 
 
 def _field_paths(obj, prefix=()):
@@ -447,11 +448,23 @@ def test_repeated_class_name_exits_2_naming_it(trained, capsys):
     assert capsys.readouterr().err == f"error: {path}: duplicate class id: 'c1'\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_prior_class_is_never_predicted(trained):
+    """A zero prior's log is -inf: no warning, and its class gets posterior 0."""
+    root, models = trained
+    model = edited(models["total-count"], ("priors",), [1, 0, 0])
+    assert predict_with(root, model) == 0
+    rows = (root / "p" / "predictions.tsv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    for row in rows:
+        assert row.split("\t")[1:] == ["c1", "1", "0", "0"]
+
+
 def test_model_json_holds_only_what_prediction_reads(trained):
     _, models = trained
     for model in models.values():
         assert list(model) == [
-            "format", "size_factor_method", "size_factors", "alpha", "beta", "rho",
+            "format", "size_factors", "alpha", "beta", "rho",
             "priors", "class_names", "feature_ids", "g_hat", "d_hat",
         ]
 
@@ -465,7 +478,10 @@ def test_model_with_older_class_sums_key_predicts_the_same(trained):
         expected = (root / "p" / "predictions.tsv").read_bytes()
         lists = older(model)
         class_sums = np.outer(np.arange(1.0, 4.0), lists["g_hat"]).tolist()
-        for form in (lists, {**lists, "n_hat_class_sums": class_sums}):
+        dropped = {
+            "n_hat_class_sums": class_sums, "size_factor_method": model["size_factors"]["method"]
+        }
+        for form in (lists, *({**lists, key: value} for key, value in dropped.items())):
             assert predict_with(root, form) == 0
             assert (root / "p" / "predictions.tsv").read_bytes() == expected
 
@@ -735,6 +751,19 @@ def test_cluster_error_names_the_offending_cell(tmp_path, capsys, rows, message)
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("cluster", "--dissim", bad, "--cut-k", 1, "--out-dir", tmp_path / "c") == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sweep"], "--sweep needs a --labels reference file"),
+    (["--labels", "labels.tsv"], "--labels needs --sweep, which reads it"),
+], ids=["sweep", "labels"])
+def test_cluster_sweep_and_labels_need_each_other(tmp_path, capsys, flags, message):
+    dissim = tmp_path / "d.tsv"
+    dissim.write_text("id\ta\tb\na\t0\t1\nb\t1\t0\n", encoding="utf-8")
+    out = tmp_path / "c"
+    assert run("cluster", "--dissim", dissim, "--cut-k", 1, *flags, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", _BAD_SIDECAR_FIELDS)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from poiskit import transform
 from poiskit.count_matrix import CountMatrix
 from poiskit.errors import ValidationError
 from poiskit.plda import stratified_folds
@@ -274,6 +275,29 @@ def test_calibrate_hands_back_the_power_bit_for_bit():
         result = calibrate(draw)
         assert result.alpha < 1.0
         expected = draw**result.alpha
+        assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_calibrate_recomputes_the_power_when_the_search_ends_elsewhere(monkeypatch):
+    """The search's last evaluation is not at the exponent it returns."""
+    config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
+    values = simulate(config).data.matrix.values
+    dropped = values.copy()
+    dropped[:, 3] = 0.0  # a silent feature
+    dropped[4] = 0.0  # a silent observation
+    rows = np.array([0, 2, 3, 4, 6, 7, 9, 12, 14])
+    search = transform._search
+
+    def search_then_evaluate_once_more(stat_of, target):
+        found = search(stat_of, target)
+        stat_of(0.5 if found[0] != 0.5 else 0.25)
+        return found
+
+    monkeypatch.setattr(transform, "_search", search_then_evaluate_once_more)
+    for draw, picked in ((values, None), (dropped, None), (dropped, rows)):
+        result = calibrate(draw, picked)
+        assert result.alpha < 1.0
+        expected = np.power(draw if picked is None else draw[picked], result.alpha)
         assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
 
 
