@@ -48,12 +48,11 @@ from .transform import find_alpha
 
 def _default_threads() -> int:
     env = os.environ.get("POISKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"POISKIT_THREADS must be an integer, got '{env}'")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) == 0:
+        raise ValidationError(f"POISKIT_THREADS must be a positive integer, got '{env}'")
+    return int(env)
 
 
 def _nonnegative_int(text: str) -> int:

@@ -272,14 +272,12 @@ def _fit_stats(
 
     values, labels, sample_ids = data.matrix.values, data.labels, data.matrix.sample_ids
     if rows is not None:
-        labels = labels[rows]
+        values, labels = values[rows], labels[rows]
         sample_ids = [sample_ids[i] for i in rows]
     alpha = 1.0
-    if transform:  # calibrate copies the rows itself, once
-        calibration = calibrate(values, rows)
+    if transform:
+        calibration = calibrate(values)
         alpha, values = calibration.alpha, calibration.values
-    elif rows is not None:
-        values = values[rows]
 
     factors = size_factors_of(values, sample_ids, method)
     g_hat = values.sum(axis=0)

@@ -135,7 +135,9 @@ def row_statistic(values: np.ndarray, method: str, aux=None) -> np.ndarray:
     if method == "quantile":
         return np.percentile(values, 75, axis=1)
     usable = aux["usable"]
-    return np.median(values[:, usable] / aux["geometric_means"][usable], axis=1)
+    with np.errstate(over="ignore"):  # inf, which the median orders as the huge ratio it is
+        ratios = values[:, usable] / aux["geometric_means"][usable]
+    return np.median(ratios, axis=1)
 
 
 def first_ten(names: list[str], count: int) -> str:

@@ -21,10 +21,10 @@ point above the bracket is evaluated, as a plain downward scan would.
 Typical calls take 4 or 5 evaluations of the statistic;
 ``TransformResult.evaluations`` counts them.
 
-Rows or columns whose totals are zero carry no information for the fit;
-they are excluded from the statistic and the degrees-of-freedom target
-shrinks accordingly (zero entries stay zero under the transform, so the
-exclusion is stable in alpha).
+Rows or columns whose totals are zero carry no information for the fit:
+they add zero terms to the statistic, and the degrees-of-freedom target
+counts only the positive-total rows and columns (zero entries stay zero
+under the transform, so the count is stable in alpha).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ ALPHA_MIN = 0.01
 GRID_POINTS = 21
 BRACKET_TOL = 1e-6
 STAT_RTOL = 1e-3
-# entries of the rank-one fit held at once by the Pearson statistic
-_FIT_BLOCK = 32_768
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +67,8 @@ class TransformResult:
 
 
 class Calibration(NamedTuple):
-    """Outcome of :func:`calibrate`; ``values`` is the input raised to ``alpha``."""
+    """Outcome of :func:`calibrate`; ``values`` is the input raised to ``alpha``
+    (the input itself at alpha = 1)."""
 
     alpha: float
     statistic: float
@@ -80,52 +79,42 @@ class Calibration(NamedTuple):
     values: np.ndarray
 
 
-def _positive_submatrix(
-    values: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple | None]:
-    """The rows ``rows`` of ``values`` (all when None) without their zero-total
-    rows and columns, taken in one indexing step, and the index that selects
-    those entries within the rows, None if none was dropped. With all rows
-    and none dropped, the array returned is ``values`` itself."""
-    whole = rows is None
-    if whole:
-        rows, taken = np.arange(values.shape[0]), True
-    else:
-        taken = np.zeros((values.shape[0], 1), dtype=bool)
-        taken[rows] = True
-    positive_rows = values.sum(axis=1)[rows] > 0
-    cols = values.sum(axis=0, where=taken) > 0
-    if positive_rows.sum() < 2 or cols.sum() < 2:
+def _target(values: np.ndarray) -> float:
+    """Degrees of freedom (n-1)(p-1) over the rows and columns with positive totals."""
+    n_pos = np.count_nonzero(values.sum(axis=1) > 0)
+    p_pos = np.count_nonzero(values.sum(axis=0) > 0)
+    if n_pos < 2 or p_pos < 2:
         raise ValidationError(
             "goodness-of-fit statistic needs at least 2 samples and 2 features "
             "with positive totals"
         )
-    if positive_rows.all() and cols.all():
-        return (values if whole else values[rows]), None
-    return values[np.ix_(rows[positive_rows], cols)], np.ix_(positive_rows, cols)
+    return float((n_pos - 1) * (p_pos - 1))
 
 
-def _pearson_stat(x: np.ndarray, work: np.ndarray) -> float:
-    """Pearson statistic of ``x`` against its rank-one fit; overwrites ``work``.
+def _reciprocal(sums: np.ndarray) -> np.ndarray:
+    """1 / sums where a sum is a positive normal float, else 0.
 
-    The operations are those of ``(resid * resid / fitted).sum()`` with
-    ``fitted = np.outer(row sums, column sums) / total`` and
-    ``resid = x - fitted``, done in place in ``work`` (which may be ``x``
-    itself). ``fitted`` is formed a block of rows at a time, so it never
-    takes more than about ``_FIT_BLOCK`` entries; every entry of ``work``
-    gets the same bits as from the whole outer product.
+    A subnormal sum's reciprocal would overflow. Taking it as 0 drops terms
+    of at most T times that sum over a cell's other total, below rounding
+    unless that total is subnormal too.
     """
-    row_sums, col_sums, total = x.sum(axis=1), x.sum(axis=0), x.sum()
-    step = max(1, _FIT_BLOCK // x.shape[1])
-    block = np.empty((min(step, x.shape[0]), x.shape[1]))
-    for lo in range(0, x.shape[0], step):
-        fitted, resid = block[: min(step, x.shape[0] - lo)], work[lo : lo + step]
-        np.multiply(row_sums[lo : lo + step, None], col_sums, out=fitted)
-        fitted /= total
-        np.subtract(x[lo : lo + step], fitted, out=resid)
-        resid *= resid
-        resid /= fitted
-    return float(work.sum())
+    return np.divide(1.0, sums, out=np.zeros_like(sums), where=sums >= np.finfo(sums.dtype).tiny)
+
+
+def _pearson_stat(x: np.ndarray) -> float:
+    """Pearson statistic of ``x`` against its rank-one fit r_i c_j / T.
+
+    Summing (x - f)^2 / f with f = r_i c_j / T gives T * sum x^2 / (r_i c_j) - T.
+    One pass sums x^2 / c_j along each row, with no array the size of ``x``
+    in between, and a dot product weights the rows by 1 / r_i. A row or
+    column whose total is zero holds only zeros, so taking its reciprocal
+    total as 0 adds nothing. The subtraction can cancel to just below 0, so
+    the result is clamped at 0.
+    """
+    row_sums = x.sum(axis=1)
+    total = row_sums.sum()
+    scaled = np.einsum("ij,ij,j->i", x, x, _reciprocal(x.sum(axis=0))) @ _reciprocal(row_sums)
+    return max(float(total * scaled - total), 0.0)
 
 
 def gof_statistic(matrix: CountMatrix) -> float:
@@ -133,8 +122,8 @@ def gof_statistic(matrix: CountMatrix) -> float:
 
     Compare to (n-1)(p-1) counted over positive-total rows and columns.
     """
-    sub, _ = _positive_submatrix(matrix.values)
-    return _pearson_stat(sub, np.empty_like(sub))
+    _target(matrix.values)  # the check that calibrate makes
+    return _pearson_stat(matrix.values)
 
 
 def apply_alpha(matrix: CountMatrix, alpha: float) -> CountMatrix:
@@ -171,49 +160,32 @@ def find_alpha(matrix: CountMatrix) -> TransformResult:
     )
 
 
-def calibrate(values: np.ndarray, rows: np.ndarray | None = None) -> Calibration:
+def calibrate(values: np.ndarray) -> Calibration:
     """The search of :func:`find_alpha` on a raw value array.
 
-    ``rows`` (distinct row indices, all rows when None) restricts the search
-    to those rows of ``values``, which are copied once, without the rows and
-    columns whose totals are zero. ``values`` of the result is those rows
-    raised to ``alpha`` (``values`` itself at alpha = 1 with all rows). The
-    power is that of the last statistic, recomputed in its buffer only if
-    the search ended at another exponent, with any dropped row or column
-    filled with zeros (0 ** alpha is 0).
+    ``values`` of the result is ``values`` itself at alpha = 1, else
+    ``np.power(values, alpha)`` in the one buffer the search powers into,
+    recomputed only if the search's last evaluation was at another exponent.
+    Rows and columns whose totals are zero stay zero (0 ** alpha is 0).
     """
-    sub, kept = _positive_submatrix(values, rows)
-    n_pos, p_pos = sub.shape
-    target = float((n_pos - 1) * (p_pos - 1))
-    powered = np.empty_like(sub)
-    work = np.empty_like(sub)
+    target = _target(values)
+    powered = np.empty_like(values)
     held = 1.0  # the exponent whose power ``powered`` holds
 
     def stat_of(alpha: float) -> float:
         nonlocal held
         if alpha == 1.0:
-            return _pearson_stat(sub, work)
-        np.power(sub, alpha, out=powered)
+            return _pearson_stat(values)
+        np.power(values, alpha, out=powered)
         held = alpha
-        return _pearson_stat(powered, work)
+        return _pearson_stat(powered)
 
     alpha, statistic, converged, seen = _search(stat_of, target)
-    del work  # free what is no longer read before building the transformed array
-    if held != alpha:  # the search's last evaluation was at another exponent
-        np.power(sub, alpha, out=powered)
-    if kept is None:
-        transformed = sub if alpha == 1.0 else powered
-    else:
-        del sub
-        if alpha == 1.0:  # the rows themselves
-            del powered
-            transformed = values if rows is None else values[rows]
-        else:
-            n_rows = values.shape[0] if rows is None else len(rows)
-            transformed = np.zeros((n_rows, values.shape[1]))
-            transformed[kept] = powered
+    if alpha not in (1.0, held):  # the search's last evaluation was at another exponent
+        np.power(values, alpha, out=powered)
     return Calibration(
-        alpha, statistic, target, converged, _monotone(seen), len(seen), transformed
+        alpha, statistic, target, converged, _monotone(seen), len(seen),
+        values if alpha == 1.0 else powered,
     )
 
 

@@ -89,6 +89,19 @@ def multinomial_lrt(x_i, x_iprime) -> float:
     )
 
 
+def pearson_statistic(x) -> float:
+    """Pearson chi-squared statistic of ``x`` against its rank-one fit, out of place.
+
+    Over the rows and columns with positive totals, ``fitted = r c / T`` is
+    formed whole and ``(x - fitted) ** 2 / fitted`` summed; the rows and
+    columns left out hold only zeros.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x = x[x.sum(axis=1) > 0][:, x.sum(axis=0) > 0]
+    fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
+    return float(((x - fitted) ** 2 / fitted).sum())
+
+
 def scalar_percentile75(values):
     """75th percentile with linear interpolation at rank 1 + (p-1) * 0.75."""
     v = sorted(values)

@@ -4,6 +4,7 @@ import base64
 import contextlib
 import io
 import json
+import os
 import sys
 import warnings
 
@@ -460,6 +461,15 @@ def test_zero_prior_class_is_never_predicted(trained):
         assert row.split("\t")[1:] == ["c1", "1", "0", "0"]
 
 
+def test_one_tiny_geometric_mean_overflows_its_ratio_without_a_warning(trained):
+    """The ratio past the largest float is inf; the median of the ratios skips it."""
+    root, models = trained
+    model = older(models["median-ratio"])
+    aux = model["size_factors"]["aux"]
+    aux["geometric_means"][aux["usable"].index(True)] = 1e-310
+    assert predict_with(root, model) == 0
+
+
 def test_model_json_holds_only_what_prediction_reads(trained):
     _, models = trained
     for model in models.values():
@@ -807,6 +817,36 @@ def test_negative_threads_exit_2(tmp_path, capsys, command):
         run(*args, "--threads", -3, "--out-dir", tmp_path / "out")
     assert excinfo.value.code == 2
     assert "--threads: must be a nonnegative integer, got '-3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "00", "+2", "1.5", " 2", "two"])
+@pytest.mark.parametrize("command", ("dissim", "cv", "replicate"))
+def test_threads_variable_other_than_a_positive_integer_exits_2(
+    trained, tmp_path, capsys, monkeypatch, command, value
+):
+    root, _ = trained
+    inputs = ["--counts", root / "counts.tsv", "--labels", root / "labels.tsv"]
+    args = {
+        "dissim": ["dissim", "--counts", root / "counts.tsv"],
+        "cv": ["cv", *inputs, "--folds", 4],
+        "replicate": ["replicate", "clustering", "--n", 9, "--p", 120, "--phi", 0.01,
+                      "--sigma", 0.5, "--reps", 2, "--seed", 3],
+    }[command]
+    monkeypatch.setenv("POISKIT_THREADS", value)
+    out = tmp_path / "out"
+    assert run(*args, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: POISKIT_THREADS must be a positive integer, got '{value}'\n"
+    assert not (out / "manifest.json").exists()
+    assert run(*args, "--threads", 1, "--out-dir", out) == 0  # an explicit count wins
+
+
+def test_empty_threads_variable_means_all_cores(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("POISKIT_THREADS", "")
+    out = tmp_path / "d"
+    assert run("dissim", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 0
+    threads = json.loads((out / "manifest.json").read_text())["options"]["threads"]
+    assert threads == (os.cpu_count() or 1)
 
 
 def test_manifest_records_resolved_threads(sim_dir, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Power transform calibration."""
 
+import math
 import statistics
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import pearson_statistic
 
 from poiskit import transform
 from poiskit.count_matrix import CountMatrix
@@ -20,8 +22,8 @@ from poiskit.transform import (
     GRID_POINTS,
     STAT_RTOL,
     _pearson_stat,
-    _positive_submatrix,
     _search,
+    _target,
     apply_alpha,
     calibrate,
     find_alpha,
@@ -29,6 +31,8 @@ from poiskit.transform import (
 )
 
 GRID = np.linspace(ALPHA_MIN, 1.0, GRID_POINTS)
+# the closed-form statistic's allowance for rounding, in units of the total
+ROUNDING = 64 * np.finfo(float).eps
 
 
 def matrix(rows):
@@ -48,30 +52,63 @@ def test_hand_case_identity_matrix():
     assert gof_statistic(matrix([[1, 0], [0, 1]])) == pytest.approx(2.0)
 
 
-@given(
-    x=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(
-        lambda shape: arrays(np.float64, shape, elements=st.floats(0, 1e6))
-    )
-)
+def assert_within_rounding_of_the_oracle(x):
+    assert abs(_pearson_stat(x) - pearson_statistic(x)) <= ROUNDING * x.sum()
+
+
+@st.composite
+def count_tables(draw):
+    """Count tables up to 6 x 40 with some rows and columns set to 0.0 or -0.0,
+    raised to a power in [ALPHA_MIN, 1] as the search raises them."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    x = draw(arrays(np.float64, (n, p), elements=st.integers(0, 10**6).map(float)))
+    x[draw(arrays(bool, n))] = draw(st.sampled_from([0.0, -0.0]))
+    x[:, draw(arrays(bool, p))] = draw(st.sampled_from([0.0, -0.0]))
+    return np.power(x, draw(st.floats(ALPHA_MIN, 1.0)))
+
+
+@given(x=count_tables())
 @settings(max_examples=200, deadline=None)
-def test_in_place_pearson_stat_equals_out_of_place_formula(x):
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero sums give nan or inf
-        fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
-        resid = x - fitted
-        expected = float((resid * resid / fitted).sum())
-        assert repr(_pearson_stat(x.copy(), np.empty_like(x))) == repr(expected)
+def test_pearson_stat_is_within_rounding_of_the_out_of_place_formula(x):
+    assert_within_rounding_of_the_oracle(x)
 
 
 @pytest.mark.parametrize("shape", [(12, 10_000), (300, 1_000), (5, 40_000), (7, 4_681)])
-def test_pearson_stat_in_row_blocks_equals_the_whole_outer_product(shape):
-    """Shapes whose rank-one fit takes several row blocks, one row or many at a time."""
+def test_pearson_stat_on_large_shapes_is_within_rounding_of_the_oracle(shape):
     x = np.random.default_rng(sum(shape)).negative_binomial(3, 0.05, shape).astype(float) + 1
-    fitted = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
-    resid = x - fitted
-    expected = float((resid * resid / fitted).sum())
-    assert repr(_pearson_stat(x, np.empty_like(x))) == repr(expected)
-    in_place = x.copy()
-    assert repr(_pearson_stat(in_place, in_place)) == repr(expected)
+    assert_within_rounding_of_the_oracle(x)
+    assert_within_rounding_of_the_oracle(np.power(x, 0.5))
+
+
+@pytest.mark.parametrize("total", [1e11, 1e12, 1e13])
+def test_pearson_stat_of_deep_poisson_tables_is_within_rounding_of_the_oracle(total):
+    """Near a rank-one fit the statistic is about its target, far below the total,
+    so the closed form's T * (...) - T cancels in all but its last digits."""
+    rng = np.random.default_rng(int(math.log10(total)))
+    means = np.outer(rng.uniform(0.5, 2.0, 10), rng.uniform(0.5, 2.0, 1_000))
+    x = rng.poisson(means * (total / means.sum())).astype(float)
+    assert abs(x.sum() / total - 1.0) < 1e-3
+    assert abs(_pearson_stat(x) / _target(x) - 1.0) < 0.2
+    assert_within_rounding_of_the_oracle(x)
+
+
+@given(
+    r=st.lists(st.integers(0, 1_000), min_size=1, max_size=8),
+    c=st.lists(st.integers(0, 1_000), min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_pearson_stat_of_an_exact_rank_one_table_is_zero_to_rounding(r, c):
+    x = np.outer(r, c).astype(float)
+    assert 0.0 <= _pearson_stat(x) <= ROUNDING * x.sum()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_pearson_stat_of_a_subnormal_total_is_within_rounding_of_the_oracle(axis):
+    """A subnormal row or column total, whose reciprocal would overflow."""
+    x = np.array([[5.0, 3.0, 1e-310], [2.0, 4.0, 0.0], [1.0, 1.0, 0.0]])
+    x = x if axis == 1 else x.T.copy()
+    assert_within_rounding_of_the_oracle(x)
+    assert calibrate(x).alpha == 1.0
 
 
 def test_statistic_near_target_for_rank_one_poisson_data():
@@ -169,8 +206,8 @@ def scan_bracket(stats, target):
     return -1
 
 
-def grid_stats(sub):
-    return [_pearson_stat(x, x) for x in (sub**alpha for alpha in GRID)]
+def grid_stats(values):
+    return [_pearson_stat(np.power(values, alpha)) for alpha in GRID]
 
 
 def assert_in_bracket(alpha, i):
@@ -197,11 +234,10 @@ def test_statistic_falls_with_alpha_and_search_finds_the_scan_bracket(n, p, phi,
     config = SimulationConfig(n=n, p=p, K=3, phi=phi, sigma=sigma, seed=seed)
     values = simulate(config).data.matrix.values
     try:
-        sub, _ = _positive_submatrix(values)
+        target = _target(values)
     except ValidationError:
         assume(False)
-    target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
-    stats = grid_stats(sub)
+    stats = grid_stats(values)
     bracket = scan_bracket(stats, target)
     upper = stats[max(bracket, 0):] if bracket is not None else []
     assert all(low <= high for low, high in zip(upper, upper[1:]))
@@ -216,9 +252,8 @@ def test_statistic_can_rise_near_alpha_min_below_the_crossing():
     # that of the zero pattern, which a sparse draw can push back up
     config = SimulationConfig(n=4, p=299, K=3, phi=0.05078125, sigma=0.0625, seed=2671)
     values = simulate(config).data.matrix.values
-    sub, _ = _positive_submatrix(values)
-    target = (sub.shape[0] - 1) * (sub.shape[1] - 1)
-    stats = grid_stats(sub)
+    target = _target(values)
+    stats = grid_stats(values)
     assert stats[0] > stats[1]
     bracket = scan_bracket(stats, target)
     assert bracket > 1
@@ -265,17 +300,27 @@ def test_search_warns_when_no_grid_point_reaches_the_target():
 def test_calibrate_hands_back_the_power_bit_for_bit():
     config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
     values = simulate(config).data.matrix.values
+    rows = np.array([0, 2, 3, 4, 6, 7, 9, 12, 14])
     dropped = values.copy()
-    dropped[:, 3] = 0.0  # a silent feature: the power is scattered into zeros
+    dropped[:, 3] = 0.0  # a silent feature
     signed = values.copy()
     signed[4] = 0.0  # a silent observation
     signed[:, 7] = -0.0  # a silent feature of -0.0
     signed[[4, 6], 8] = -0.0  # -0.0 in the silent observation and in a kept cell
-    for draw in (values, dropped, signed):
+    outside = values.copy()
+    outside[rows, 5] = 0.0  # positive only in rows left out: silent within the rows
+    silent = outside.copy()
+    silent[4] = 0.0  # a silent observation among the rows
+    for draw in (values, dropped, signed, outside[rows], silent[rows]):
         result = calibrate(draw)
         assert result.alpha < 1.0
-        expected = draw**result.alpha
+        expected = np.power(draw, result.alpha)
         assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
+    flat = np.full((6, 9), 5.0)  # a perfect rank-one fit: alpha = 1
+    flat[:, 2] = 0.0
+    flat = flat[[1, 2, 5]]
+    result = calibrate(flat)
+    assert result.alpha == 1.0 and result.values is flat
 
 
 def test_calibrate_recomputes_the_power_when_the_search_ends_elsewhere(monkeypatch):
@@ -294,30 +339,31 @@ def test_calibrate_recomputes_the_power_when_the_search_ends_elsewhere(monkeypat
         return found
 
     monkeypatch.setattr(transform, "_search", search_then_evaluate_once_more)
-    for draw, picked in ((values, None), (dropped, None), (dropped, rows)):
-        result = calibrate(draw, picked)
+    for draw in (values, dropped, dropped[rows]):
+        result = calibrate(draw)
         assert result.alpha < 1.0
-        expected = np.power(draw if picked is None else draw[picked], result.alpha)
+        expected = np.power(draw, result.alpha)
         assert np.array_equal(result.values.view(np.uint64), expected.view(np.uint64))
 
 
-def test_calibrate_of_rows_equals_calibrate_of_the_copied_rows():
-    config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
-    values = simulate(config).data.matrix.values
-    rows = np.array([0, 2, 3, 4, 6, 7, 9, 12, 14])
-    outside = values.copy()
-    outside[rows, 5] = 0.0  # positive only in rows left out: dropped within the rows
-    silent = outside.copy()
-    silent[4] = 0.0  # a silent observation among the rows
-    flat = np.full((6, 9), 5.0)  # a perfect rank-one fit: alpha = 1
-    flat[:, 2] = 0.0
-    cases = [(values, rows), (outside, rows), (silent, rows), (values, np.arange(15)),
-             (flat, np.array([1, 2, 5]))]
-    for draw, picked in cases:
-        whole, part = calibrate(draw[picked]), calibrate(draw, picked)
-        assert part[:-1] == whole[:-1]
-        assert np.array_equal(part.values.view(np.uint64), whole.values.view(np.uint64))
-    assert calibrate(flat, np.array([1, 2, 5])).alpha == 1.0
+def test_silent_rows_and_columns_move_alpha_only_by_rounding():
+    """All-zero rows and columns, some of -0.0, keep the target and add zero
+    terms; they regroup the sums, so alpha may move in its last bits."""
+    for seed in range(30):
+        config = SimulationConfig(n=8, p=300, K=2, phi=0.5, sigma=0.3, seed=seed)
+        values = simulate(config).data.matrix.values
+        rng = np.random.default_rng(seed)
+        quiet_rows = rng.choice(values.shape[0] + 3, 3, replace=False)
+        quiet_cols = rng.choice(values.shape[1] + 5, 5, replace=False)
+        padded = np.zeros((values.shape[0] + 3, values.shape[1] + 5))
+        kept_rows = np.setdiff1d(np.arange(padded.shape[0]), quiet_rows)
+        kept_cols = np.setdiff1d(np.arange(padded.shape[1]), quiet_cols)
+        padded[np.ix_(kept_rows, kept_cols)] = values
+        padded[quiet_rows[0]] = -0.0
+        padded[:, quiet_cols[:2]] = -0.0
+        base, result = calibrate(values), calibrate(padded)
+        assert result.target == base.target
+        assert abs(result.alpha - base.alpha) <= 1e-12 * base.alpha
 
 
 def test_median_calibration_takes_at_most_five_evaluations():
