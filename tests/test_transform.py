@@ -323,6 +323,27 @@ def test_calibrate_hands_back_the_power_bit_for_bit():
     assert result.alpha == 1.0 and result.values is flat
 
 
+def test_calibrate_of_rows_equals_calibrate_of_the_copied_rows():
+    """A strided view of some rows, not copied, calibrates as their copy does."""
+    config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
+    values = simulate(config).data.matrix.values
+    rows = slice(0, 15, 2)
+    outside = values.copy()
+    outside[rows, 5] = 0.0  # positive only in rows left out: silent within the rows
+    silent = outside.copy()
+    silent[4] = 0.0  # a silent observation among the rows
+    flat = np.full((6, 9), 5.0)  # a perfect rank-one fit: alpha = 1
+    flat[:, 2] = 0.0
+    cases = [(values, rows), (outside, rows), (silent, rows), (values, slice(None)),
+             (flat, slice(1, 6, 2))]
+    for draw, picked in cases:
+        view = draw[picked]
+        whole, part = calibrate(view.copy()), calibrate(view)
+        assert part[:-1] == whole[:-1]
+        assert np.array_equal(part.values.view(np.uint64), whole.values.view(np.uint64))
+    assert calibrate(flat[1:6:2]).alpha == 1.0
+
+
 def test_calibrate_recomputes_the_power_when_the_search_ends_elsewhere(monkeypatch):
     """The search's last evaluation is not at the exponent it returns."""
     config = SimulationConfig(n=15, p=800, K=3, phi=1.0, sigma=0.5, seed=11)
