@@ -9,14 +9,15 @@ recorded with the cluster containing the smallest leaf first.
 
 The linkage keeps one n x n working matrix (O(n^2) memory) whose slots
 are reused: a merged cluster takes the lower slot of its two children and
-the other slot is set to infinity. Each row caches its nearest neighbour,
-the partner with the smallest node id among ties. A merge only refreshes
-the merged row and the rows whose cached partner was merged: other
-distances can only grow, and a new node id is larger than every existing
-one, so every other cache stays exact. The next merge is the smallest
-normalised (node, node) pair among the rows at the global minimum, which
-is the tie rule above. Heavy ties can still make most rows stale at every
-merge (all-equal distances), costing O(n^3) vectorized work.
+the other slot is set to infinity. Each live row caches only its smallest
+distance. The next merge takes the smallest node among the rows at the
+global minimum and pairs it with its smallest partner at that distance:
+the smallest (node, node) pair at the minimum, which is the tie rule
+above. A merge only raises distances, so it rescans only the rows whose
+minimum may have risen: the two merged rows, and each row whose minimum
+sat in a merged column that now holds more. Under ties the merged column
+usually still holds the minimum, so all-equal distances rescan no other
+row.
 
 CER counts pairs exactly: pairs together in the prediction, together in
 the truth, and together in both. ``cer`` reads them off a contingency
@@ -71,35 +72,25 @@ def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
     dist = d.full()
     np.fill_diagonal(dist, np.inf)
     node = np.arange(n)  # node id held by each slot
-    nn = dist.argmin(axis=1)  # slot order is node order before the first merge
-    nn_d = dist[node, nn]
+    nn_d = dist.min(axis=1)  # each live row's smallest distance
     min_leaf = list(range(n))
     sizes = [1] * n
     merges = np.empty((n - 1, 4))
-
-    def refresh(rows: np.ndarray) -> None:
-        block = dist[rows]
-        nn_d[rows] = low = block.min(axis=1)
-        nn[rows] = np.where(block == low[:, None], node, 2 * n).argmin(axis=1)
-
     for step in range(n - 1):
-        rows = np.flatnonzero(nn_d == nn_d.min())
-        ends = node[rows], node[nn[rows]]
-        key = np.minimum(*ends) * (2 * n) + np.maximum(*ends)
-        su = int(rows[key.argmin()])
-        sv = int(nn[su])
+        height = nn_d.min()
+        rows = np.flatnonzero(nn_d == height)
+        su = int(rows[node[rows].argmin()])
+        partners = np.flatnonzero(dist[su] == height)
+        sv = int(partners[node[partners].argmin()])
         u, v, new = int(node[su]), int(node[sv]), n + step
-        height = dist[su, sv]
         keep, drop = min(su, sv), max(su, sv)
-        dist[keep] = np.maximum(dist[su], dist[sv])
-        dist[:, keep] = dist[keep]
-        dist[drop] = np.inf
-        dist[:, drop] = np.inf
+        merged = np.maximum(dist[su], dist[sv])
+        # su and sv are among these; a dead row's inf never exceeds its inf
+        stale = np.flatnonzero(((dist[su] == nn_d) | (dist[sv] == nn_d)) & (merged > nn_d))
+        dist[keep] = dist[:, keep] = merged
+        dist[drop] = dist[:, drop] = np.inf
         node[keep] = new
-        nn_d[drop] = np.inf
-        nn[drop] = -1  # a dead row is never refreshed
-        # su and sv cache each other, so the merged row is among these
-        refresh(np.flatnonzero((nn == su) | (nn == sv)))
+        nn_d[stale] = dist[stale].min(axis=1)
         left, right = (u, v) if min_leaf[u] <= min_leaf[v] else (v, u)
         merges[step] = (left, right, height, sizes[u] + sizes[v])
         min_leaf.append(min(min_leaf[u], min_leaf[v]))

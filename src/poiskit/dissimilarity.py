@@ -8,9 +8,10 @@ It is zero exactly on identical observations and nonnegative everywhere.
 
 Squared Euclidean distance after size-factor scaling is provided as the
 Gaussian-model baseline. :func:`dissimilarity_matrix` picks a measure by
-name, and measures features when given the transposed matrix. A ``beta=0`` path plugs in maximum-likelihood rate
-ratios instead of posterior means; it exists for validation against the
-multinomial likelihood-ratio statistic and is not meant for analysis.
+name, and measures features when given the transposed matrix. A
+``beta=0`` path plugs in maximum-likelihood rate ratios instead of
+posterior means; it exists for validation against the multinomial
+likelihood-ratio statistic and is not meant for analysis.
 
 The n x n matrix is stored condensed: entry (i, j) with i < j lives at
 linear index n*i - i*(i+1)/2 + (j - i - 1), the diagonal is implicitly

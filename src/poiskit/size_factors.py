@@ -114,10 +114,10 @@ def _aux_json(key: str, val):
     return val.tolist() if isinstance(val, np.ndarray) else val
 
 
-_ZERO_STATISTIC = {
-    "total-count": "zero total count",
-    "quantile": "zero 75th percentile",
-    "median-ratio": "zero median ratio",
+_STATISTIC = {
+    "total-count": "total count",
+    "quantile": "75th percentile",
+    "median-ratio": "median ratio",
 }
 
 # the aux entry each method divides its row statistics by
@@ -152,7 +152,7 @@ def check_statistics(stats: np.ndarray, ids, method: str) -> None:
     if zero.size:
         names = [f"'{ids[k]}'" for k in zero[:10]]
         raise ValidationError(
-            f"{_ZERO_STATISTIC[method]} in {zero.size} of {stats.size} observations: "
+            f"zero {_STATISTIC[method]} in {zero.size} of {stats.size} observations: "
             + first_ten(names, zero.size)
         )
 
@@ -211,11 +211,13 @@ def estimate_test_size_factors(
     if not np.all(np.isfinite(rows)) or np.any(rows < 0):
         raise ValidationError("test observations must be finite and nonnegative")
     stats = row_statistic(rows, factors.method, factors.aux)
-    zero = np.flatnonzero(~(stats > 0))
-    if zero.size:
-        i = int(zero[0])
+    # an infinite statistic, as from tiny geometric means, has no factor either
+    bad = np.flatnonzero(~((stats > 0) & (stats < np.inf)))
+    if bad.size:
+        i = int(bad[0])
         name = i if sample_ids is None else repr(sample_ids[i])
-        raise ValidationError(f"{_ZERO_STATISTIC[factors.method]} in test observation {name}")
+        what = "zero" if stats[i] == 0 else "non-finite"
+        raise ValidationError(f"{what} {_STATISTIC[factors.method]} in test observation {name}")
     return stats / factors.aux[_NORMALIZER[factors.method]]
 
 

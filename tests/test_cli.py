@@ -470,6 +470,25 @@ def test_one_tiny_geometric_mean_overflows_its_ratio_without_a_warning(trained):
     assert predict_with(root, model) == 0
 
 
+def test_every_geometric_mean_tiny_gives_an_infinite_median_ratio_and_exits_2(trained, capsys):
+    """Every ratio overflows, so each row's median ratio is inf and has no size factor."""
+    root, models = trained
+    model = older(models["median-ratio"])
+    aux = model["size_factors"]["aux"]
+    aux["geometric_means"] = [1e-310 if u else g
+                              for u, g in zip(aux["usable"], aux["geometric_means"])]
+    path = root / "tiny.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    out = root / "tiny"
+    assert run("predict", "--counts", root / "counts.tsv", "--model", path, "--out-dir", out) == 2
+    first = read_count_matrix(root / "counts.tsv").sample_ids[0]
+    assert capsys.readouterr().err == (
+        f"error: {root / 'counts.tsv'} and {path}: "
+        f"non-finite median ratio in test observation '{first}'\n"
+    )
+    assert not (out / "predictions.tsv").exists()
+
+
 def test_model_json_holds_only_what_prediction_reads(trained):
     _, models = trained
     for model in models.values():

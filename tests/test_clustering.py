@@ -1,5 +1,7 @@
 """Complete linkage, tree cutting, CER, and Newick export."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,19 +70,34 @@ def random_distances(rng, n, regime):
         sq = rng.random((n, n)) * 10
     elif regime == "integer":  # distances in {1, 2, 3}: heavy ties
         sq = rng.integers(1, 4, (n, n)).astype(float)
+    elif regime == "one-decimal":  # 11 values from 0 to 1: partial ties
+        sq = np.round(rng.random((n, n)), 1)
     else:  # all equal
         sq = np.full((n, n), 2.0)
     sq = np.triu(sq, 1)
     return sq + sq.T
 
 
-@pytest.mark.parametrize("regime", ("continuous", "integer", "all-equal"))
+@pytest.mark.parametrize("regime", ("continuous", "integer", "one-decimal", "all-equal"))
 @pytest.mark.parametrize("n", (2, 3, 17, 60))
 def test_matches_naive_oracle_across_tie_regimes(n, regime):
     full = random_distances(np.random.default_rng(100 + n), n, regime)
     dend = complete_linkage(dmatrix(full, tuple(f"x{i}" for i in range(n))))
     reference = naive_complete_linkage(full)
     assert dend.merges.tolist() == [list(rec) for rec in reference]
+
+
+@pytest.mark.parametrize("regime", ("continuous", "all-equal"))
+def test_two_thousand_observations_link_within_the_readme_budget(regime):
+    # a merge rescans only the rows whose minimum rose; under ties almost none do
+    n = 2_000
+    d = dmatrix(random_distances(np.random.default_rng(7), n, regime),
+                tuple(f"x{i}" for i in range(n)))
+    started = time.perf_counter()
+    dend = complete_linkage(d)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 3.0
+    assert np.all(np.diff(dend.heights) >= 0)
 
 
 @given(seed=st.integers(0, 100_000))

@@ -415,6 +415,14 @@ def test_default_rho_grid_spans_to_full_shrinkage():
     assert model.nonzero_features() == 0
 
 
+@pytest.mark.parametrize("transform", (False, True))
+def test_default_rho_grid_is_zero_alone_when_every_ratio_is_already_one(transform):
+    # identical rows: every class's counts are its share of the totals, so
+    # the full-shrinkage bound is 0 and no positive rho changes the model
+    data = make_dataset(np.tile([3.0, 1.0, 4.0, 2.0], (4, 1)), [1, 2, 1, 2])
+    assert default_rho_grid(data, transform=transform).tolist() == [0.0]
+
+
 def overdispersed_dataset():
     """Classes of 5, 5 and 3 samples whose calibration exponent is below 1."""
     data = simulate(SimulationConfig(n=15, p=120, K=3, phi=0.2, sigma=0.15, seed=2)).data

@@ -1,8 +1,9 @@
-"""The README's Python examples run as written."""
+"""The README's Python and CLI examples run as written."""
 
 import base64
 import json
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
@@ -41,3 +42,18 @@ def test_d_hat_snippet_reads_the_model_train_wrote(tmp_path, monkeypatch):
     names = {"json": json, "base64": base64, "np": np}
     exec(python_block('m["d_hat"]'), names)
     assert np.array_equal(names["d_hat"], read_model(tmp_path / "model.json").d_hat)
+
+
+def cli_commands():
+    """The command lines of the sh block under ``## CLI``, continuations joined."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, re.M | re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_cli_example_runs_line_by_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = cli_commands()
+    assert commands and all(argv[0] == "poiskit" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

@@ -19,9 +19,11 @@ from poiskit.replicate import _rep_seeds
 from poiskit.simulate import SimulationConfig, simulate, split_train_test
 from poiskit.transform import (
     ALPHA_MIN,
+    BRACKET_TOL,
     GRID_POINTS,
     STAT_RTOL,
     _pearson_stat,
+    _refine,
     _search,
     _target,
     apply_alpha,
@@ -295,6 +297,60 @@ def test_search_warns_when_no_grid_point_reaches_the_target():
     with pytest.warns(RuntimeWarning, match="did not reach"):
         alpha, statistic, converged, _ = _search(table_statistic(table), 1.0)
     assert (alpha, statistic, converged) == (ALPHA_MIN, 2.0, False)
+
+
+def refine_traced(stat_of, lo, hi, target=1.0):
+    """``_refine`` on ``stat_of``, with the exponents it evaluated in order and
+    the bracket they leave: the highest one at or below the target and the
+    lowest one above it."""
+    evaluated = []
+
+    def stat_at(alpha):
+        evaluated.append(alpha)
+        return stat_of(alpha)
+
+    alpha, statistic, converged = _refine(stat_at, lo, hi, target)
+    below = max(a for a in evaluated if stat_of(a) <= target)
+    above = min(a for a in evaluated if stat_of(a) > target)
+    return alpha, statistic, converged, evaluated, (below, above)
+
+
+def test_refine_bisects_when_the_secant_step_leaves_the_bracket():
+    # a zero statistic at lo is log ratio -inf, which puts the secant root on hi
+    crossing = 0.6
+    alpha, statistic, converged, evaluated, (below, above) = refine_traced(
+        lambda a: 0.0 if a < 0.4 else math.exp(5 * (a - crossing)), 0.2, 0.9
+    )
+    assert evaluated[2] == 0.5 * (0.2 + 0.9)
+    assert converged and abs(statistic - 1.0) <= STAT_RTOL
+    assert below <= crossing < above
+
+
+def test_refine_halves_the_far_end_when_the_near_end_moves_twice():
+    # a convex log ratio puts each secant root below the crossing, so lo moves
+    # again and again, and Illinois halves f_hi to pull the next root up
+    crossing = 0.5
+
+    def stat_of(a):
+        return math.exp(math.expm1(5 * (a - crossing)))
+
+    alpha, statistic, converged, evaluated, (below, above) = refine_traced(stat_of, 0.1, 0.9)
+    moved_lo = [stat_of(a) <= 1.0 for a in evaluated[2:]]
+    assert any(x and y for x, y in zip(moved_lo, moved_lo[1:]))
+    assert converged and abs(statistic - 1.0) <= STAT_RTOL
+    assert below <= crossing < above
+
+
+def test_refine_reports_no_convergence_when_the_bracket_closes_on_a_jump():
+    # the statistic jumps over the target's tolerance band, so no exponent
+    # meets it and the search stops once the bracket is narrower than BRACKET_TOL
+    crossing = 0.6137
+    alpha, statistic, converged, _, (below, above) = refine_traced(
+        lambda a: 0.5 if a < crossing else 2.0, 0.5, 0.7
+    )
+    assert not converged and statistic in (0.5, 2.0)
+    assert below < crossing <= above and above - below < BRACKET_TOL
+    assert below <= alpha <= above
 
 
 def test_calibrate_hands_back_the_power_bit_for_bit():
