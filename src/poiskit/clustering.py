@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .count_matrix import Partition
+from .count_matrix import Partition, partition_of
 from .dissimilarity import DissimilarityMatrix
 from .errors import ValidationError
 
@@ -119,14 +119,7 @@ def cut_tree(dend: Dendrogram, k: int) -> Partition:
         new = n + step
         parent[find(int(left))] = new
         parent[find(int(right))] = new
-    numbers: dict[int, int] = {}
-    assignments = np.empty(n, dtype=np.int64)
-    for leaf in range(n):
-        root = find(leaf)
-        if root not in numbers:
-            numbers[root] = len(numbers) + 1
-        assignments[leaf] = numbers[root]
-    return Partition(assignments, num_clusters=len(numbers))
+    return partition_of([find(leaf) for leaf in range(n)])
 
 
 def _check_lengths(n_p: int, n_q: int) -> None:

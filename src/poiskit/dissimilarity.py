@@ -23,8 +23,9 @@ allocates one workspace of tile-sized buffers and every kernel step writes
 into it, so a tile allocates nothing of its own size; terms that depend on
 one row only (totals, 75th percentiles, ``x + beta``) are taken once per
 matrix. Every pair's size-factor precondition is checked before the
-loop, so no tile can fail. Threads take whole rows, so they write
-disjoint slots and never change the result.
+loop, so no tile can fail; a pair whose arithmetic overflows gets NaN or
+inf, which :class:`DissimilarityMatrix` names afterwards. Threads take
+whole rows, so they write disjoint slots and never change the result.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .parallel import map_ordered
 from .size_factors import (
     METHODS,
     canonical_method,
-    check_statistics,
     estimate_size_factors,
     first_ten,
     row_statistic,
@@ -73,8 +73,13 @@ class DissimilarityMatrix:
         if n < 1 or condensed.shape != (n * (n - 1) // 2,):
             raise ValidationError("condensed length does not match id count")
         check_unique(self.ids, "observation")
-        if condensed.size and (not np.all(np.isfinite(condensed)) or condensed.min() < 0):
-            raise ValidationError("dissimilarities must be finite and nonnegative")
+        bad = np.flatnonzero(~((condensed >= 0) & (condensed < np.inf)))  # NaN fails both
+        if bad.size:
+            i, j = (index[bad[0]] for index in np.triu_indices(n, 1))
+            raise ValidationError(
+                "dissimilarities must be finite and nonnegative: "
+                f"('{self.ids[i]}', '{self.ids[j]}') is {condensed[bad[0]]}"
+            )
         condensed = condensed + 0.0  # a copy, with any -0.0 turned into 0.0
         condensed.flags.writeable = False
         object.__setattr__(self, "condensed", condensed)
@@ -128,14 +133,12 @@ def _check_beta(beta: float) -> None:
 def _pair_terms(values: np.ndarray, ids, method: str):
     """The row statistics of the pairs' size factors, None under median-ratio.
 
-    Raises one error naming every row whose statistic is zero or, under
-    median-ratio, every pair that shares no positive feature (the first in
-    row-major order leads), so that no pair in the loop can fail.
+    Raises one error naming every row whose statistic gives no size factor
+    (see :func:`row_statistic`) or, under median-ratio, every pair that
+    shares no positive feature (the first in row-major order leads).
     """
     if method != "median-ratio":
-        terms = row_statistic(values, method)
-        check_statistics(terms, ids, method)
-        return terms
+        return row_statistic(values, method, ids=ids)
     n = values.shape[0]
     positive = (values > 0).astype(np.float32)
     count, first = 0, []
@@ -238,8 +241,9 @@ def _poisson_block(values: np.ndarray, beta: float, terms):
         np.add(d1, g, out=d1)
         np.add(t, d1, out=t)
         t.sum(axis=1, out=out)
-        # nonnegative up to rounding; snap accumulated round-off to zero
-        out[~(out > 0.0)] = 0.0
+        # nonnegative up to rounding; snap accumulated round-off to zero, and
+        # leave a NaN from overflowing arithmetic for DissimilarityMatrix to name
+        out[out <= 0.0] = 0.0
 
     return block
 
@@ -261,11 +265,10 @@ def poisson_pair_dissimilarity(
     if not np.all(np.isfinite(pair) & (pair >= 0)):
         raise ValidationError("count vectors must be finite and nonnegative")
     _check_beta(beta)
-    terms = _pair_terms(pair, ("x_i", "x_iprime"), canonical_method(method))
-    out = np.empty(1)
-    block = _poisson_block(pair, beta, terms)
-    block(0, 1, 2, np.empty((_POISSON_BUFFERS, 1, x1.size)), out)
-    return float(out[0])
+    ids, method = ("x_i", "x_iprime"), canonical_method(method)
+    block = _poisson_block(pair, beta, _pair_terms(pair, ids, method))
+    dm = DissimilarityMatrix(_pairwise(pair, block, _POISSON_BUFFERS, 1), ids, "poisson", method)
+    return float(dm.condensed[0])
 
 
 def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -> np.ndarray:
@@ -284,11 +287,14 @@ def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -
 
     def fill(w: int) -> None:
         workspace = np.empty((buffers, tile, p))
-        for i in range(w, n - 1, workers):
-            offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
-            for lo in range(i + 1, n, tile):
-                hi = min(lo + tile, n)
-                block_fn(i, lo, hi, workspace[:, : hi - lo], condensed[offset + lo : offset + hi])
+        # errstate is per thread; an overflow's inf or NaN is named by DissimilarityMatrix
+        with np.errstate(all="ignore"):
+            for i in range(w, n - 1, workers):
+                offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
+                for lo in range(i + 1, n, tile):
+                    hi = min(lo + tile, n)
+                    ws, out = workspace[:, : hi - lo], condensed[offset + lo : offset + hi]
+                    block_fn(i, lo, hi, ws, out)
 
     map_ordered(fill, workers, workers)
     return condensed

@@ -1,7 +1,7 @@
 """Independent units of work on threads, with the same outcome at any thread count.
 
 :func:`map_ordered` runs ``fn(0), ..., fn(n_units - 1)`` on the calling
-thread plus ``threads - 1`` pool threads. Thread t runs units t,
+thread plus ``threads - 1`` threads it starts. Thread t runs units t,
 t + threads, t + 2 * threads, ..., so the calling thread keeps the first
 strided share. Each unit's result goes to its own slot, and the results
 come back in unit order. If units fail, the error of the failing unit with
@@ -17,7 +17,6 @@ from __future__ import annotations
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -77,14 +76,14 @@ def map_ordered(fn: Callable[[int], T], n_units: int, threads: int | None = 1) -
         finally:
             _local.held = outer
 
-    if workers == 1:
+    pool = [threading.Thread(target=run, args=(t,)) for t in range(1, workers)]
+    for thread in pool:
+        thread.start()
+    try:
         run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(run, t) for t in range(1, workers)]
-            run(0)
-            for future in futures:
-                future.result()
+    finally:
+        for thread in pool:
+            thread.join()
     failed = next((i for i, exc in enumerate(errors) if exc is not None), n_units)
     for unit in held[: failed + 1]:
         for record in unit:

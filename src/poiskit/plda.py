@@ -87,16 +87,20 @@ def _ratio_shrinker(a: np.ndarray, b: np.ndarray, block: int):
     sqrt_b = np.sqrt(b)
     shape = (block,) + ratio.shape
     d_block = np.empty(shape)
-    inactive_block = np.empty(shape, dtype=bool)
+    mask_block = np.empty(shape, dtype=bool)
 
     def at(rhos: np.ndarray) -> np.ndarray:
-        d, inactive = d_block[: rhos.size], inactive_block[: rhos.size]
+        d, mask = d_block[: rhos.size], mask_block[: rhos.size]
         np.divide(rhos[:, None, None], sqrt_b, out=d)  # the threshold, then d in place
-        np.greater(abs_dev, d, out=inactive)
-        np.logical_not(inactive, out=inactive)
+        np.greater(abs_dev, d, out=mask)  # active
+        # the threshold where active, |ratio - 1| elsewhere: finite, so 0 * d is 0
+        np.fmin(d, abs_dev, out=d)
         np.multiply(d, sign, out=d)
         np.subtract(ratio, d, out=d)
-        np.copyto(d, 1.0, where=inactive)
+        # d where active, 0 + 1 elsewhere, without a masked copy
+        np.multiply(d, mask, out=d)
+        np.logical_not(mask, out=mask)  # inactive
+        np.add(d, mask, out=d)
         return d
 
     return at

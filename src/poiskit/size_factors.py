@@ -124,37 +124,40 @@ _STATISTIC = {
 _NORMALIZER = {"total-count": "grand_total", "quantile": "q_sum", "median-ratio": "m_sum"}
 
 
-def row_statistic(values: np.ndarray, method: str, aux=None) -> np.ndarray:
-    """Each row's total, 75th percentile, or median ratio to the geometric means.
-
-    The median-ratio statistic takes the usable features of ``aux``. A size
-    factor is its row's statistic over a normalizer; a zero has none.
-    """
-    if method == "total-count":
-        return values.sum(axis=1)
-    if method == "quantile":
-        return np.percentile(values, 75, axis=1)
-    usable = aux["usable"]
-    with np.errstate(over="ignore"):  # inf, which the median orders as the huge ratio it is
-        ratios = values[:, usable] / aux["geometric_means"][usable]
-    return np.median(ratios, axis=1)
-
-
 def first_ten(names: list[str], count: int) -> str:
     """The first 10 of ``count`` names, comma-joined, then how many more there are."""
     more = f" and {count - 10} more" if count > 10 else ""
     return ", ".join(names[:10]) + more
 
 
-def check_statistics(stats: np.ndarray, ids, method: str) -> None:
-    """Raise ``zero total count in 2 of 9 observations: 's1', 's4'`` and the like."""
-    zero = np.flatnonzero(~(stats > 0))
-    if zero.size:
-        names = [f"'{ids[k]}'" for k in zero[:10]]
-        raise ValidationError(
-            f"zero {_STATISTIC[method]} in {zero.size} of {stats.size} observations: "
-            + first_ten(names, zero.size)
-        )
+def row_statistic(values: np.ndarray, method: str, aux=None, ids=None) -> np.ndarray:
+    """Each row's total, 75th percentile, or median ratio, checked to give a size factor.
+
+    The median-ratio statistic takes the usable features of ``aux``. A size
+    factor is its row's statistic over a normalizer, so the statistic must
+    be positive and finite. Otherwise this raises naming the rows by
+    ``ids``, or by index when ``ids`` is None: the zeros first, as in
+    ``zero total count in 2 of 9 observations: 's1', 's4'``, then the
+    rest, as in ``non-finite total count in 1 of 4 observations: 's1'``.
+    """
+    with np.errstate(over="ignore"):  # an inf, reported below as non-finite
+        if method == "total-count":
+            stats = values.sum(axis=1)
+        elif method == "quantile":
+            stats = np.percentile(values, 75, axis=1)
+        else:
+            usable = aux["usable"]
+            # the median orders an inf ratio as the huge ratio it is
+            stats = np.median(values[:, usable] / aux["geometric_means"][usable], axis=1)
+    for what, bad in (("zero", stats == 0), ("non-finite", ~(stats < np.inf))):
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            names = [str(k) if ids is None else f"'{ids[k]}'" for k in rows[:10]]
+            raise ValidationError(
+                f"{what} {_STATISTIC[method]} in {rows.size} of {stats.size} observations: "
+                + first_ten(names, rows.size)
+            )
+    return stats
 
 
 def estimate_size_factors(matrix: CountMatrix, method: str) -> SizeFactors:
@@ -180,14 +183,14 @@ def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
         # geometric means in log space to avoid overflow at large p
         geometric_means[usable] = np.exp(np.mean(np.log(values[:, usable]), axis=0))
         aux = {"geometric_means": geometric_means, "usable": usable}
-    stats = row_statistic(values, method, aux)
-    check_statistics(stats, sample_ids, method)
-    if method == "total-count":
-        aux["grand_total"] = normalizer = float(values.sum())
-    else:
-        key = "q" if method == "quantile" else "m"
-        aux[key] = stats
-        aux[key + "_sum"] = normalizer = float(stats.sum())
+    stats = row_statistic(values, method, aux, sample_ids)
+    with np.errstate(over="ignore"):  # an inf, reported below
+        normalizer = float(values.sum() if method == "total-count" else stats.sum())
+    if normalizer == np.inf:
+        raise ValidationError(f"the {_STATISTIC[method]}s of {stats.size} observations sum to inf")
+    if method != "total-count":
+        aux["q" if method == "quantile" else "m"] = stats
+    aux[_NORMALIZER[method]] = normalizer
     aux["p"] = values.shape[1]
     return SizeFactors(stats / normalizer, method, aux)
 
@@ -210,14 +213,7 @@ def estimate_test_size_factors(
         raise ValidationError(f"test observations have {rows.shape[-1]} features, expected {p}")
     if not np.all(np.isfinite(rows)) or np.any(rows < 0):
         raise ValidationError("test observations must be finite and nonnegative")
-    stats = row_statistic(rows, factors.method, factors.aux)
-    # an infinite statistic, as from tiny geometric means, has no factor either
-    bad = np.flatnonzero(~((stats > 0) & (stats < np.inf)))
-    if bad.size:
-        i = int(bad[0])
-        name = i if sample_ids is None else repr(sample_ids[i])
-        what = "zero" if stats[i] == 0 else "non-finite"
-        raise ValidationError(f"{what} {_STATISTIC[factors.method]} in test observation {name}")
+    stats = row_statistic(rows, factors.method, factors.aux, sample_ids)
     return stats / factors.aux[_NORMALIZER[factors.method]]
 
 

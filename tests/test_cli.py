@@ -256,7 +256,42 @@ def test_predict_all_zero_row_names_sample(sim_dir, tmp_path, capsys):
         "predict", "--counts", zeroed, "--model", train_dir / "model.json",
         "--out-dir", tmp_path / "p",
     ) == 2
-    assert "zero total count in test observation 's5'" in capsys.readouterr().err
+    assert "zero total count in 1 of 12 observations: 's5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, commands, message",
+    [
+        # s1's total count overflows to inf
+        ("s1\t1e308\t1e308\t1\n", ("train", "cv", "dissim"),
+         "non-finite total count in 1 of 4 observations: 's1'"),
+        # both totals are finite, but the pair's sums overflow
+        ("s1\t1e308\t1\t2\ns2\t1e308\t2\t1\n", ("dissim",),
+         "dissimilarities must be finite and nonnegative: ('s1', 's2') is nan"),
+    ],
+)
+def test_counts_past_the_largest_float_exit_2_naming_the_sample(
+    tmp_path, capsys, rows, commands, message
+):
+    counts = tmp_path / "counts.tsv"
+    small = ["s2\t3\t4\t5\n", "s3\t2\t6\t1\n", "s4\t5\t2\t3\n"]
+    counts.write_text("id\tf1\tf2\tf3\n" + rows + "".join(small[rows.count("\n") - 1 :]))
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("s1\tA\ns2\tA\ns3\tB\ns4\tB\n")
+    inputs = {
+        "train": ["--labels", labels],
+        "cv": ["--labels", labels, "--folds", 2],
+        "dissim": [],
+    }
+    capsys.readouterr()
+    for command in commands:
+        out = tmp_path / command
+        assert run(
+            command, "--counts", counts, *inputs[command], "--transform", "off", "--out-dir", out
+        ) == 2
+        named = f"{counts} and {labels}" if inputs[command] else f"{counts}"
+        assert capsys.readouterr().err == f"error: {named}: {message}\n"
+        assert list(out.iterdir()) == []
 
 
 def test_non_finite_rho_exits_2(sim_dir, tmp_path):
@@ -481,10 +516,10 @@ def test_every_geometric_mean_tiny_gives_an_infinite_median_ratio_and_exits_2(tr
     path.write_text(json.dumps(model), encoding="utf-8")
     out = root / "tiny"
     assert run("predict", "--counts", root / "counts.tsv", "--model", path, "--out-dir", out) == 2
-    first = read_count_matrix(root / "counts.tsv").sample_ids[0]
+    first_ten = ", ".join(f"'{s}'" for s in read_count_matrix(root / "counts.tsv").sample_ids[:10])
     assert capsys.readouterr().err == (
         f"error: {root / 'counts.tsv'} and {path}: "
-        f"non-finite median ratio in test observation '{first}'\n"
+        f"non-finite median ratio in 12 of 12 observations: {first_ten} and 2 more\n"
     )
     assert not (out / "predictions.tsv").exists()
 
@@ -956,7 +991,7 @@ def test_a_failing_fold_reports_the_same_error_at_any_thread_count(tmp_path, cap
         ) == 2
         errors.add(capsys.readouterr().err)
     assert errors == {
-        f"error: {counts} and {labels}: zero median ratio in test observation '{first}'\n"
+        f"error: {counts} and {labels}: zero median ratio in 1 of 2 observations: '{first}'\n"
     }
 
 

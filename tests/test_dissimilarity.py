@@ -296,6 +296,20 @@ def test_median_ratio_pairs_without_common_feature_are_listed_up_front():
         poisson_dissimilarity_matrix(matrix(values), "median-ratio", transform=False)
 
 
+def test_a_pair_past_the_largest_float_is_named_not_written_as_zero():
+    # every row total is finite, but the pair (s0, s1) sums to inf: its term is NaN
+    values = np.array([[1e308, 1, 2], [1e308, 2, 1], [2, 6, 1], [5, 2, 3]])
+    message = r"^dissimilarities must be finite and nonnegative: \('{}', '{}'\) is nan$"
+    for threads in (1, 2):
+        with pytest.raises(ValidationError, match=message.format("s0", "s1")):
+            poisson_dissimilarity_matrix(matrix(values), transform=False, threads=threads)
+    with pytest.raises(ValidationError, match=message.format("x_i", "x_iprime")):
+        poisson_pair_dissimilarity(values[0], values[1])
+    # the first bad entry in condensed order: (a, b), (a, c), (b, c)
+    with pytest.raises(ValidationError, match=r"\('b', 'c'\) is -1.0$"):
+        DissimilarityMatrix([0.0, 1.0, -1.0], ("a", "b", "c"), "poisson", "total-count")
+
+
 def test_pair_function_checks_its_pair_up_front():
     with pytest.raises(ValidationError, match=r"^pair \('x_i', 'x_iprime'\): no feature"):
         poisson_pair_dissimilarity([1.0, 0.0], [0.0, 1.0], "median-ratio")

@@ -1,8 +1,10 @@
 """The ordered map: results, errors and warnings do not depend on the thread count."""
 
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,3 +105,14 @@ def test_cross_validation_warnings_are_issued_in_fold_order(monkeypatch):
     assert messages[1].startswith("reducing folds from 5 to 3")
     assert len(messages) == 2 + 3
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_importing_poiskit_loads_no_executor():
+    """map_ordered starts plain threads, so ``import poiskit`` skips concurrent.futures."""
+    src = str(Path(parallel.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import poiskit; "
+        "print('poiskit.parallel' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.stdout == "True False\n"

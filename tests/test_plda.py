@@ -402,7 +402,7 @@ def test_cv_names_held_out_sample_with_zero_median_ratio():
     values = np.random.default_rng(0).poisson(5, (6, 9)).astype(float) + 1
     values[0, :6] = 0
     data = make_dataset(values, [1, 2, 1, 2, 1, 2])
-    with pytest.raises(ValidationError, match=r"^zero median ratio in test observation 's0'$"):
+    with pytest.raises(ValidationError, match=r"^zero median ratio in 1 of 2 observations: 's0'$"):
         cross_validate(data, method="median-ratio", rho_grid=[0.0], folds=2, transform=False)
 
 

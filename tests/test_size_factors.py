@@ -112,6 +112,33 @@ def test_zero_statistics_are_named_in_one_message(method, rows, message):
     assert str(excinfo.value) == f"{message} observations: 's1', 's3'"
 
 
+def test_non_finite_statistics_are_named_after_the_zeros():
+    rows = [[1e308, 1e308], [1, 2], [0, 0], [3, 4]]
+    with pytest.raises(ValidationError, match=r"^zero total count in 1 of 4 observations: 's2'$"):
+        estimate_size_factors(matrix(rows), "total-count")
+    rows[2] = [5, 6]
+    with pytest.raises(
+        ValidationError, match=r"^non-finite total count in 1 of 4 observations: 's0'$"
+    ):
+        estimate_size_factors(matrix(rows), "total-count")
+    # test rows are named by index, or by the ids given
+    sf = estimate_size_factors(matrix(rows[1:]), "total-count")
+    message = "^non-finite total count in 1 of 2 observations: "
+    with pytest.raises(ValidationError, match=message + "0$"):
+        estimate_test_size_factors(sf, np.array(rows[:2]))
+    with pytest.raises(ValidationError, match=message + "'t1'$"):
+        estimate_test_size_factors(sf, np.array(rows[:2]), ("t1", "t2"))
+
+
+@pytest.mark.parametrize("method", ["total-count", "quantile"])
+def test_statistics_whose_sum_overflows_give_no_size_factors(method):
+    # each statistic is finite, but they sum past the largest float
+    rows = [[1.5e308, 1], [1.5e308, 2], [3, 4]]
+    statistic = {"total-count": "total counts", "quantile": "75th percentiles"}[method]
+    with pytest.raises(ValidationError, match=f"^the {statistic} of 3 observations sum to inf$"):
+        estimate_size_factors(matrix(rows), method)
+
+
 @pytest.mark.parametrize("method", ["total-count", "quantile", "median-ratio"])
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
@@ -204,9 +231,9 @@ def test_test_factor_error_cases():
     with pytest.raises(ValidationError, match="percentile"):
         estimate_test_size_factor(qf, np.array([0.0, 0.0]))
     rows = np.array([[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(ValidationError, match=r"^zero total count in test observation 1$"):
+    with pytest.raises(ValidationError, match=r"^zero total count in 1 of 2 observations: 1$"):
         estimate_test_size_factors(sf, rows)
-    with pytest.raises(ValidationError, match=r"^zero total count in test observation 't2'$"):
+    with pytest.raises(ValidationError, match=r"^zero total count in 1 of 2 observations: 't2'$"):
         estimate_test_size_factors(sf, rows, ("t1", "t2"))
 
 
