@@ -69,7 +69,7 @@ def complete_linkage(d: DissimilarityMatrix) -> Dendrogram:
     n = d.n
     if n < 2:
         raise ValidationError("clustering needs at least 2 observations")
-    dist = d.full()
+    dist = d.values.copy()
     np.fill_diagonal(dist, np.inf)
     node = np.arange(n)  # node id held by each slot
     nn_d = dist.min(axis=1)  # each live row's smallest distance

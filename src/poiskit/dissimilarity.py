@@ -13,19 +13,19 @@ name, and measures features when given the transposed matrix. A
 posterior means; it exists for validation against the multinomial
 likelihood-ratio statistic and is not meant for analysis.
 
-The n x n matrix is stored condensed: entry (i, j) with i < j lives at
-linear index n*i - i*(i+1)/2 + (j - i - 1), the diagonal is implicitly
-zero, and each pair is computed exactly once, so symmetry is structural.
-Row i's pairs (i, j > i) form one contiguous slice, filled a tile at a
-time: row i against the next max(1, _TILE_ELEMENTS // p) rows, evaluated
-by the vectorized kernel that also computes a single pair. Each thread
-allocates one workspace of tile-sized buffers and every kernel step writes
-into it, so a tile allocates nothing of its own size; terms that depend on
-one row only (totals, 75th percentiles, ``x + beta``) are taken once per
-matrix. Every pair's size-factor precondition is checked before the
-loop, so no tile can fail; a pair whose arithmetic overflows gets NaN or
-inf, which :class:`DissimilarityMatrix` names afterwards. Threads take
-whole rows, so they write disjoint slots and never change the result.
+The n x n matrix is stored whole, and each pair is computed exactly once:
+row i's pairs (i, j > i) are written into row i above the diagonal and
+copied into column i below it, so symmetry is structural and the diagonal
+stays zero. Row i's pairs are filled a tile at a time: row i against the
+next max(1, _TILE_ELEMENTS // p) rows, evaluated by the vectorized kernel
+that also computes a single pair. Each thread allocates one workspace of
+tile-sized buffers and every kernel step writes into it, so a tile
+allocates nothing of its own size; terms that depend on one row only
+(totals, 75th percentiles, ``x + beta``) are taken once per matrix. Every
+pair's size-factor precondition is checked before the loop, so no tile can
+fail; a pair whose arithmetic overflows gets NaN or inf, which
+:class:`DissimilarityMatrix` names afterwards. Threads take whole rows, so
+they write disjoint slots and never change the result.
 """
 
 from __future__ import annotations
@@ -60,57 +60,27 @@ _TILE_ELEMENTS = 32_768
 
 @dataclass(frozen=True, eq=False)
 class DissimilarityMatrix:
-    """Symmetric nonnegative dissimilarities with zero diagonal."""
+    """Symmetric nonnegative n x n dissimilarities with zero diagonal, read-only.
 
-    condensed: np.ndarray
+    An error names the first offending cell in row-major order and its value.
+    """
+
+    values: np.ndarray
     ids: tuple[str, ...]
     measure: str
     method: str
 
     def __post_init__(self):
-        condensed = np.asarray(self.condensed, dtype=np.float64)
-        n = len(self.ids)
-        if n < 1 or condensed.shape != (n * (n - 1) // 2,):
-            raise ValidationError("condensed length does not match id count")
-        check_unique(self.ids, "observation")
-        bad = np.flatnonzero(~((condensed >= 0) & (condensed < np.inf)))  # NaN fails both
-        if bad.size:
-            i, j = (index[bad[0]] for index in np.triu_indices(n, 1))
-            raise ValidationError(
-                "dissimilarities must be finite and nonnegative: "
-                f"('{self.ids[i]}', '{self.ids[j]}') is {condensed[bad[0]]}"
-            )
-        condensed = condensed + 0.0  # a copy, with any -0.0 turned into 0.0
-        condensed.flags.writeable = False
-        object.__setattr__(self, "condensed", condensed)
-        object.__setattr__(self, "ids", tuple(str(s) for s in self.ids))
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    def full(self) -> np.ndarray:
-        """Materialize the symmetric n x n matrix."""
-        upper = np.triu_indices(self.n, 1)
-        out = np.zeros((self.n, self.n))
-        out[upper] = out.T[upper] = self.condensed
-        return out
-
-    @staticmethod
-    def from_full(values: np.ndarray, ids, measure: str, method: str) -> "DissimilarityMatrix":
-        """Validate and condense a full square matrix.
-
-        An error names the first offending cell in row-major order and its value.
-        """
-        values = np.asarray(values, dtype=np.float64)
+        values, ids = np.asarray(self.values, dtype=np.float64), self.ids
         n = len(ids)
-        if values.shape != (n, n):
+        if n < 1 or values.shape != (n, n):
             raise ValidationError("dissimilarity matrix must be square and match ids")
+        check_unique(ids, "observation")
 
         def cell(i, j) -> str:
             return f"('{ids[i]}', '{ids[j]}') is {float(values[i, j])}"
 
-        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
+        if not (values.min() >= 0 and values.max() < np.inf):  # NaN fails both
             i, j = np.argwhere(~((values >= 0) & (values < np.inf)))[0]
             raise ValidationError(f"dissimilarities must be finite and nonnegative: {cell(i, j)}")
         if not np.array_equal(values, values.T):
@@ -122,7 +92,19 @@ class DissimilarityMatrix:
         if nonzero.size:
             i = nonzero[0]
             raise ValidationError(f"dissimilarity matrix diagonal must be zero: {cell(i, i)}")
-        return DissimilarityMatrix(values[np.triu_indices(n, 1)], tuple(ids), measure, method)
+        values = values + 0.0  # a copy, with any -0.0 turned into 0.0
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", tuple(str(s) for s in ids))
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    @property
+    def condensed(self) -> np.ndarray:
+        """The upper triangle row by row: pairs (0, 1), (0, 2), ..., (n-2, n-1)."""
+        return self.values[np.triu_indices(self.n, 1)]
 
 
 def _check_beta(beta: float) -> None:
@@ -268,20 +250,21 @@ def poisson_pair_dissimilarity(
     ids, method = ("x_i", "x_iprime"), canonical_method(method)
     block = _poisson_block(pair, beta, _pair_terms(pair, ids, method))
     dm = DissimilarityMatrix(_pairwise(pair, block, _POISSON_BUFFERS, 1), ids, "poisson", method)
-    return float(dm.condensed[0])
+    return float(dm.values[0, 1])
 
 
 def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -> np.ndarray:
-    """Condensed matrix filled by ``block_fn(i, lo, hi, ws, out)``.
+    """Symmetric n x n matrix filled by ``block_fn(i, lo, hi, ws, out)``.
 
-    The block writes row i's pairs with rows lo..hi-1 into ``out``, using
-    ``ws``, a ``(buffers, hi - lo, p)`` view of its unit's own workspace.
-    Each of the ``threads`` units of :func:`poiskit.parallel.map_ordered`
-    takes a strided share of the rows, the calling thread the first, and
-    allocates its workspace once for every tile of its rows.
+    The block writes row i's pairs with rows lo..hi-1 into ``out``, the
+    slice ``[i, lo:hi]``, using ``ws``, a ``(buffers, hi - lo, p)`` view of
+    its unit's own workspace; the tile is then copied into column i. Each
+    of the ``threads`` units of :func:`poiskit.parallel.map_ordered` takes a
+    strided share of the rows, the calling thread the first, and allocates
+    its workspace once for every tile of its rows.
     """
     n, p = values.shape
-    condensed = np.empty(n * (n - 1) // 2)
+    full = np.zeros((n, n))
     tile = max(1, min(_TILE_ELEMENTS // p, n - 1))
     workers = max(1, min(threads or 1, n - 1))
 
@@ -290,14 +273,13 @@ def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -
         # errstate is per thread; an overflow's inf or NaN is named by DissimilarityMatrix
         with np.errstate(all="ignore"):
             for i in range(w, n - 1, workers):
-                offset = n * i - (i * (i + 1)) // 2 - i - 1  # slot of pair (i, j) is offset + j
                 for lo in range(i + 1, n, tile):
                     hi = min(lo + tile, n)
-                    ws, out = workspace[:, : hi - lo], condensed[offset + lo : offset + hi]
-                    block_fn(i, lo, hi, ws, out)
+                    block_fn(i, lo, hi, workspace[:, : hi - lo], full[i, lo:hi])
+                    full[lo:hi, i] = full[i, lo:hi]
 
     map_ordered(fill, workers, workers)
-    return condensed
+    return full
 
 
 def poisson_dissimilarity_matrix(
@@ -327,8 +309,8 @@ def poisson_dissimilarity_matrix(
         matrix = find_alpha(matrix).matrix
     values = matrix.values
     block = _poisson_block(values, beta, _pair_terms(values, matrix.sample_ids, method))
-    condensed = _pairwise(values, block, _POISSON_BUFFERS, threads)
-    return DissimilarityMatrix(condensed, matrix.sample_ids, "poisson", method)
+    full = _pairwise(values, block, _POISSON_BUFFERS, threads)
+    return DissimilarityMatrix(full, matrix.sample_ids, "poisson", method)
 
 
 def sq_euclidean_dissimilarity_matrix(
@@ -351,8 +333,8 @@ def sq_euclidean_dissimilarity_matrix(
         np.square(diff, out=diff)
         diff.sum(axis=1, out=out)
 
-    condensed = _pairwise(scaled, block, 1, threads)
-    return DissimilarityMatrix(condensed, matrix.sample_ids, "sq-euclidean", method)
+    full = _pairwise(scaled, block, 1, threads)
+    return DissimilarityMatrix(full, matrix.sample_ids, "sq-euclidean", method)
 
 
 def dissimilarity_matrix(
@@ -378,7 +360,7 @@ def dissimilarity_matrix(
 
 def write_dissimilarity(dm: DissimilarityMatrix, path) -> None:
     """Full symmetric TSV plus a JSON sidecar recording measure and method."""
-    write_table(path, dm.ids, dm.ids, dm.full())
+    write_table(path, dm.ids, dm.ids, dm.values)
     sidecar = {"measure": dm.measure, "method": dm.method, "n": dm.n}
     write_json_object(str(path) + ".json", sidecar)
 
@@ -408,4 +390,4 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
         if "n" in meta and not (type(meta["n"]) is int and meta["n"] == len(ids)):
             raise ValidationError(f"n is {meta['n']!r}, but the table has {len(ids)} rows")
     with in_file(path):
-        return DissimilarityMatrix.from_full(values, ids, measure, method)
+        return DissimilarityMatrix(values, ids, measure, method)

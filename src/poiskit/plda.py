@@ -34,6 +34,7 @@ from .size_factors import (
     SizeFactors,
     canonical_method,
     estimate_test_size_factors,
+    first_ten,
     size_factors_of,
 )
 from .transform import calibrate
@@ -284,7 +285,13 @@ def _fit_stats(
         alpha, values = calibration.alpha, calibration.values
 
     factors = size_factors_of(values, sample_ids, method)
-    g_hat = values.sum(axis=0)
+    with np.errstate(over="ignore"):  # an inf, reported below
+        g_hat = values.sum(axis=0)
+    bad = np.flatnonzero(g_hat == np.inf)  # the values are finite and nonnegative
+    if bad.size:
+        names = [f"'{data.matrix.feature_ids[j]}'" for j in bad[:10]]
+        message = f"non-finite column total in {bad.size} of {g_hat.size} features: "
+        raise ValidationError(message + first_ten(names, bad.size))
     K, p = data.K, values.shape[1]
     x_class = np.empty((K, p))
     s_class = np.empty(K)

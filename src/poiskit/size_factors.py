@@ -149,12 +149,17 @@ def row_statistic(values: np.ndarray, method: str, aux=None, ids=None) -> np.nda
             usable = aux["usable"]
             # the median orders an inf ratio as the huge ratio it is
             stats = np.median(values[:, usable] / aux["geometric_means"][usable], axis=1)
-    for what, bad in (("zero", stats == 0), ("non-finite", ~(stats < np.inf))):
+    return _check_positive(stats, _STATISTIC[method], ids)
+
+
+def _check_positive(stats: np.ndarray, what: str, ids=None) -> np.ndarray:
+    """``stats``, checked as :func:`row_statistic` describes; ``what`` names them."""
+    for kind, bad in (("zero", stats == 0), ("non-finite", ~(stats < np.inf))):
         rows = np.flatnonzero(bad)
         if rows.size:
             names = [str(k) if ids is None else f"'{ids[k]}'" for k in rows[:10]]
             raise ValidationError(
-                f"{what} {_STATISTIC[method]} in {rows.size} of {stats.size} observations: "
+                f"{kind} {what} in {rows.size} of {stats.size} observations: "
                 + first_ten(names, rows.size)
             )
     return stats
@@ -203,23 +208,23 @@ def estimate_test_size_factors(
     Applies the training estimator's defining statistic to each row and
     scales it by the training normalizer, so a test observation equal to
     training row i receives that row's (unnormalized-consistent) factor.
-    Row i's factor is the same bits as ``estimate_test_size_factor`` of
-    that row alone. ``sample_ids`` name the rows in error messages, which
-    otherwise give the row index.
+    ``rows`` must be a validated ``(m, p)`` float array; row i's factor is
+    the same bits as ``estimate_test_size_factor`` of that row alone. A
+    statistic or factor that is zero or not finite raises naming its rows
+    by ``sample_ids``, or by index when None.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    p = factors.aux["p"]
-    if rows.ndim != 2 or rows.shape[1] != p:
-        raise ValidationError(f"test observations have {rows.shape[-1]} features, expected {p}")
-    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
-        raise ValidationError("test observations must be finite and nonnegative")
     stats = row_statistic(rows, factors.method, factors.aux, sample_ids)
-    return stats / factors.aux[_NORMALIZER[factors.method]]
+    with np.errstate(over="ignore"):  # an inf, reported below
+        quotients = stats / factors.aux[_NORMALIZER[factors.method]]
+    return _check_positive(quotients, "size factor", sample_ids)
 
 
 def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:
-    """:func:`estimate_test_size_factors` of one observation."""
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.ndim != 1:
-        raise ValidationError("test observation must be a vector")
+    """:func:`estimate_test_size_factors` of one observation, checked first."""
+    x_star = np.ascontiguousarray(x_star, dtype=np.float64)
+    p = factors.aux["p"]
+    if x_star.shape != (p,):
+        raise ValidationError(f"test observation must hold {p} features, got shape {x_star.shape}")
+    if not np.all(np.isfinite(x_star)) or np.any(x_star < 0):
+        raise ValidationError("test observations must be finite and nonnegative")
     return float(estimate_test_size_factors(factors, x_star[None, :])[0])

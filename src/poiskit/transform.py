@@ -81,8 +81,9 @@ class Calibration(NamedTuple):
 
 def _target(values: np.ndarray) -> float:
     """Degrees of freedom (n-1)(p-1) over the rows and columns with positive totals."""
-    n_pos = np.count_nonzero(values.sum(axis=1) > 0)
-    p_pos = np.count_nonzero(values.sum(axis=0) > 0)
+    with np.errstate(over="ignore"):  # an inf sum is positive all the same
+        n_pos = np.count_nonzero(values.sum(axis=1) > 0)
+        p_pos = np.count_nonzero(values.sum(axis=0) > 0)
     if n_pos < 2 or p_pos < 2:
         raise ValidationError(
             "goodness-of-fit statistic needs at least 2 samples and 2 features "
@@ -109,10 +110,14 @@ def _pearson_stat(x: np.ndarray) -> float:
     in between, and a dot product weights the rows by 1 / r_i. A row or
     column whose total is zero holds only zeros, so taking its reciprocal
     total as 0 adds nothing. The subtraction can cancel to just below 0, so
-    the result is clamped at 0.
+    the result is clamped at 0. A total past the largest float gives inf,
+    above any target.
     """
-    row_sums = x.sum(axis=1)
-    total = row_sums.sum()
+    with np.errstate(over="ignore"):  # an inf total, returned below
+        row_sums = x.sum(axis=1)
+        total = row_sums.sum()
+    if total == np.inf:
+        return np.inf
     scaled = np.einsum("ij,ij,j->i", x, x, _reciprocal(x.sum(axis=0))) @ _reciprocal(row_sums)
     return max(float(total * scaled - total), 0.0)
 

@@ -294,6 +294,59 @@ def test_counts_past_the_largest_float_exit_2_naming_the_sample(
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["quantile", "median-ratio"])
+def test_a_column_total_past_the_largest_float_exits_2_naming_the_feature(
+    tmp_path, capsys, method
+):
+    # every row total is finite, but f1's column total overflows; total-count
+    # factors stop earlier, at the grand total
+    counts = tmp_path / "counts.tsv"
+    counts.write_text(
+        "id\tf1\tf2\tf3\tf4\ns1\t1e308\t1\t2\t3\ns2\t1e308\t2\t1\t3\n"
+        "s3\t2\t6\t1\t4\ns4\t5\t2\t3\t1\n"
+    )
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("s1\tA\ns2\tA\ns3\tB\ns4\tB\n")
+    capsys.readouterr()
+    for command, options in (("train", []), ("cv", ["--folds", 2])):
+        out = tmp_path / command
+        assert run(
+            command, "--counts", counts, "--labels", labels, *options, "--size-factors", method,
+            "--transform", "off", "--out-dir", out,
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: {counts} and {labels}: non-finite column total in 1 of 4 features: 'f1'\n"
+        )
+        assert list(out.iterdir()) == []
+
+
+def test_test_size_factor_past_the_largest_float_exits_2_naming_the_sample(tmp_path, capsys):
+    # the training normalizer is tiny, so a finite test total over it overflows
+    counts = tmp_path / "counts.tsv"
+    counts.write_text(
+        "id\tf1\tf2\tf3\ns1\t1e-300\t2e-300\t3e-300\ns2\t2e-300\t1e-300\t3e-300\n"
+        "s3\t3e-300\t2e-300\t1e-300\ns4\t1e-300\t3e-300\t2e-300\n"
+    )
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("s1\tA\ns2\tA\ns3\tB\ns4\tB\n")
+    model = tmp_path / "model"
+    assert run(
+        "train", "--counts", counts, "--labels", labels, "--transform", "off", "--out-dir", model
+    ) == 0
+    test = tmp_path / "test.tsv"
+    test.write_text("id\tf1\tf2\tf3\ns1\t1e10\t1\t1\n")
+    capsys.readouterr()
+    out = tmp_path / "pred"
+    assert run(
+        "predict", "--counts", test, "--model", model / "model.json", "--out-dir", out
+    ) == 2
+    assert capsys.readouterr().err == (
+        f"error: {test} and {model / 'model.json'}: "
+        "non-finite size factor in 1 of 1 observations: 's1'\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_non_finite_rho_exits_2(sim_dir, tmp_path):
     inputs = ["--counts", sim_dir / "counts.tsv", "--labels", sim_dir / "labels.tsv"]
     assert run("train", *inputs, "--rho", "nan", "--out-dir", tmp_path / "t") == 2

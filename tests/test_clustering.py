@@ -25,7 +25,7 @@ from poiskit.errors import ValidationError
 def dmatrix(full, ids=None):
     full = np.asarray(full, dtype=float)
     ids = ids or tuple(chr(ord("a") + i) for i in range(full.shape[0]))
-    return DissimilarityMatrix.from_full(full, ids, "poisson", "total-count")
+    return DissimilarityMatrix(full, ids, "poisson", "total-count")
 
 
 def random_partition(rng, n, k):

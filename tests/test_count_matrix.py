@@ -169,7 +169,7 @@ def test_writers_match_per_cell_format_number(tmp_path):
     full[rows, cols] = full[cols, rows] = rng.choice(cells, rows.size)
     names = tuple(f"d{i}" for i in range(cells.size))
     path = tmp_path / "dissim.tsv"
-    write_dissimilarity(DissimilarityMatrix.from_full(full, names, "poisson", "quantile"), path)
+    write_dissimilarity(DissimilarityMatrix(full, names, "poisson", "quantile"), path)
     expected = "id\t" + "\t".join(names) + "\n" + "".join(
         name + "\t" + "\t".join(format_number(v) for v in row) + "\n"
         for name, row in zip(names, full)
@@ -365,7 +365,10 @@ def test_ids_and_names_with_other_line_breaks_round_trip(tmp_path_factory, ids, 
     part_ids, again = read_partition(folder / "p.tsv")
     assert part_ids == ids and again.assignments.tolist() == labels
 
-    dm = DissimilarityMatrix(np.arange(n * (n - 1) // 2, dtype=float), ids, "poisson", "quantile")
+    full = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    dm = DissimilarityMatrix(full, ids, "poisson", "quantile")
     write_dissimilarity(dm, folder / "d.tsv")
     loaded_dm = read_dissimilarity(folder / "d.tsv")
     assert loaded_dm.ids == dm.ids and np.array_equal(loaded_dm.condensed, dm.condensed)
@@ -513,7 +516,8 @@ def test_writers_reject_cells_holding_a_tab_or_line_break(tmp_path, bad):
         ),
         "partition id": lambda: write_partition(tmp_path / "p", [bad], Partition([1], 1)),
         "dissimilarity id": lambda: write_dissimilarity(
-            DissimilarityMatrix([1.0], (bad, "b"), "poisson", "total-count"), tmp_path / "d"
+            DissimilarityMatrix([[0.0, 1.0], [1.0, 0.0]], (bad, "b"), "poisson", "total-count"),
+            tmp_path / "d",
         ),
     }
     for write_file in writers.values():

@@ -169,7 +169,7 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
             dm = dissimilarity_matrix(
                 m.transpose(), "poisson", method, beta, transform=False, threads=threads
             )
-        full = dm.full()
+        full = dm.values
         for (i, j), (ref, pair) in expected.items():
             assert full[i, j] == pytest.approx(ref, rel=1e-10)
             assert full[i, j] == pair
@@ -178,8 +178,8 @@ def test_matrix_matches_pair_oracle_per_entry(method, beta, axis):
 def test_matrix_identical_rows_entry_zero():
     m = matrix([[3, 4, 5], [3, 4, 5], [9, 1, 2]])
     dm = poisson_dissimilarity_matrix(m, transform=False)
-    assert dm.full()[0, 1] == 0.0
-    assert dm.full()[0, 2] > 0.0
+    assert dm.values[0, 1] == 0.0
+    assert dm.values[0, 2] > 0.0
 
 
 def test_matrix_transform_is_estimated_once_globally():
@@ -209,7 +209,7 @@ def test_parallel_matches_serial_bitwise():
             threaded = compute(5)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(serial.condensed, threaded.condensed)
+        assert np.array_equal(serial.values, threaded.values)
 
 
 def test_sq_euclidean_threads_reach_the_pair_loop(monkeypatch, tmp_path):
@@ -241,8 +241,8 @@ def test_matrix_permutation_equivariance():
     rng = np.random.default_rng(53)
     values = rng.integers(1, 40, (5, 20)).astype(float)
     perm = rng.permutation(5)
-    base = poisson_dissimilarity_matrix(matrix(values), transform=False).full()
-    permuted = poisson_dissimilarity_matrix(matrix(values[perm]), transform=False).full()
+    base = poisson_dissimilarity_matrix(matrix(values), transform=False).values
+    permuted = poisson_dissimilarity_matrix(matrix(values[perm]), transform=False).values
     assert np.array_equal(permuted, base[np.ix_(perm, perm)])
 
 
@@ -305,9 +305,10 @@ def test_a_pair_past_the_largest_float_is_named_not_written_as_zero():
             poisson_dissimilarity_matrix(matrix(values), transform=False, threads=threads)
     with pytest.raises(ValidationError, match=message.format("x_i", "x_iprime")):
         poisson_pair_dissimilarity(values[0], values[1])
-    # the first bad entry in condensed order: (a, b), (a, c), (b, c)
+    # the first bad entry in row-major order: (a, b), (a, c), (b, c) above the diagonal
+    values = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, -1.0, 0.0]]
     with pytest.raises(ValidationError, match=r"\('b', 'c'\) is -1.0$"):
-        DissimilarityMatrix([0.0, 1.0, -1.0], ("a", "b", "c"), "poisson", "total-count")
+        DissimilarityMatrix(values, ("a", "b", "c"), "poisson", "total-count")
 
 
 def test_pair_function_checks_its_pair_up_front():
@@ -356,12 +357,12 @@ def test_tiles_allocate_nothing_beyond_the_workspaces(threads):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    condensed = 8 * n * (n - 1) // 2
+    square = 8 * n * n
     workspace = 8 * _POISSON_BUFFERS * min(_TILE_ELEMENTS // p, n - 1) * p
-    # the condensed array and the matrix's copy of it, values + beta once,
+    # the n x n array and the matrix's copy of it, values + beta once,
     # per thread a workspace and numpy's 64 KiB iteration buffer, and 32 kB
     # of small objects; one tile-sized temporary more would be 256 kB
-    bound = 2 * condensed + 8 * n * p + threads * (workspace + 2**16) + 32_000
+    bound = 2 * square + 8 * n * p + threads * (workspace + 2**16) + 32_000
     assert peak < bound
 
 
@@ -373,11 +374,11 @@ def test_sq_euclidean_cases():
     one_feature = matrix([[2.0], [4.0]])
     dm = sq_euclidean_dissimilarity_matrix(one_feature)
     # factors are (1/3, 2/3); scaled rows (6, 6) coincide
-    assert dm.full()[0, 1] == pytest.approx(0.0)
+    assert dm.values[0, 1] == pytest.approx(0.0)
     equal_rows = matrix([[2.0, 2.0], [4.0, 0.0]])
     dm2 = sq_euclidean_dissimilarity_matrix(equal_rows)
     # equal totals mean factors 0.5 each: (4-8)^2 + (4-0)^2 = 32
-    assert dm2.full()[0, 1] == pytest.approx(32.0)
+    assert dm2.values[0, 1] == pytest.approx(32.0)
 
 
 def test_sq_euclidean_quadratic_scaling():
@@ -423,7 +424,7 @@ def test_dissimilarity_matrix_dispatches_on_the_measure_name():
 def test_two_identical_features_are_indistinguishable():
     values = np.array([[2.0, 2.0, 9.0], [5.0, 5.0, 1.0], [7.0, 7.0, 4.0]])
     dm = dissimilarity_matrix(matrix(values).transpose(), "poisson", transform=False)
-    assert dm.full()[0, 1] == 0.0
+    assert dm.values[0, 1] == 0.0
 
 
 # --- storage and I/O ---
@@ -432,12 +433,16 @@ def test_condensed_layout_round_trip():
     n = 6
     ids = tuple(f"s{i}" for i in range(n))
     rng = np.random.default_rng(70)
-    condensed = rng.random(n * (n - 1) // 2)
-    dm = DissimilarityMatrix(condensed, ids, "poisson", "total-count")
-    full = dm.full()
+    upper = np.triu(rng.random((n, n)), 1)
+    dm = DissimilarityMatrix(upper + upper.T, ids, "poisson", "total-count")
+    full, condensed = dm.values, dm.condensed
     assert np.array_equal(full, full.T)
     assert np.all(np.diag(full) == 0)
+    assert not full.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        full[0, 1] = 1.0
     # pair (i, j), i < j, lives at n*i - i*(i+1)/2 + (j - i - 1): row by row
+    assert condensed.shape == (n * (n - 1) // 2,)
     k = 0
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -449,9 +454,9 @@ def test_condensed_layout_round_trip():
 def test_from_full_validation():
     ids = ("a", "b")
     with pytest.raises(ValidationError, match="symmetric"):
-        DissimilarityMatrix.from_full(np.array([[0.0, 1.0], [2.0, 0.0]]), ids, "x", "y")
+        DissimilarityMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), ids, "x", "y")
     with pytest.raises(ValidationError, match="diagonal"):
-        DissimilarityMatrix.from_full(np.array([[1.0, 2.0], [2.0, 0.0]]), ids, "x", "y")
+        DissimilarityMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]), ids, "x", "y")
 
 
 def test_read_rejects_non_numeric_cell_with_line(tmp_path):
@@ -479,6 +484,6 @@ def test_tsv_round_trip_with_sidecar(tmp_path):
     path = tmp_path / "d.tsv"
     write_dissimilarity(dm, path)
     loaded = read_dissimilarity(path)
-    assert np.array_equal(loaded.condensed, dm.condensed)
+    assert np.array_equal(loaded.values, dm.values)
     assert loaded.measure == "poisson"
     assert loaded.method == "quantile"

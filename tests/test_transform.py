@@ -186,6 +186,16 @@ def test_transform_tolerates_zero_columns():
     assert result.target == (6 - 1) * (39 - 1)
 
 
+def test_a_total_past_the_largest_float_is_above_any_target_without_a_numpy_warning():
+    # f1's column total overflows at alpha = 1, but not once the values are powered
+    values = np.array([[1e308, 1.0, 2.0], [1e308, 2.0, 1.0], [2.0, 6.0, 1.0], [5.0, 2.0, 3.0]])
+    assert gof_statistic(matrix(values)) == np.inf
+    with pytest.warns(RuntimeWarning, match="did not reach") as caught:
+        cal = calibrate(values)
+    assert len(caught) == 1
+    assert cal.alpha == ALPHA_MIN and cal.monotone and np.isfinite(cal.values.sum(axis=0)).all()
+
+
 def test_degenerate_matrix_rejected():
     with pytest.raises(ValidationError):
         gof_statistic(matrix([[1, 2, 3]]))
