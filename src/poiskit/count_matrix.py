@@ -17,6 +17,7 @@ two-column file, JSON input) is read and written in one place here.
 from __future__ import annotations
 
 import base64
+import codecs
 import json
 import math
 from dataclasses import dataclass
@@ -263,12 +264,12 @@ class Partition:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file.
+    """The text of a UTF-8 file, without the byte-order mark it may start with.
 
     Bytes that are not UTF-8 raise :class:`ParseError` naming the file and
     the line they are on, counted as :func:`read_lines` counts lines.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -325,8 +326,9 @@ def check_cells(cells, kind: str) -> None:
         raise ValidationError(f"{kind} {bad!r} holds a tab or line break, which a TSV cell cannot")
 
 
-# numpy's reader strips these from the ends of a cell as whitespace; float() does not
-_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+# numpy's reader strips the first four from the ends of a cell as whitespace, which
+# float() does not, and ends a line at the last two
+_NOT_FOR_LOADTXT = ("\x1c", "\x1d", "\x1e", "\x1f", "\r", "\n")
 # the bytes of a line whose cells are all unsigned decimal integers
 _DIGITS_AND_TABS = b"0123456789\t"
 
@@ -342,17 +344,17 @@ def _loadtxt_rows(data: list[str], width: int):
     rejects (an empty one, or one past 2**63 - 1) sends the table to the
     float reader. None means the reader cannot vouch for the values: no
     lines, a line without ``width`` tabs or with nothing after its id, a cell
-    holding one of ``_NOT_FLOAT_SPACE``, a cell the reader rejects (such as
-    ``1_0`` or a Unicode digit, which ``float`` accepts), or a result of
-    another shape. The lines hold no line breaks, as :func:`read_lines` gives
-    them. Every line handed to the reader holds text, so it skips none and
-    has no cause to warn; the warnings filters are left alone, as they are
-    process-wide.
+    holding one of ``_NOT_FOR_LOADTXT`` (a line break among them, which
+    :func:`read_lines` never leaves in a line), a cell the reader rejects
+    (such as ``1_0`` or a Unicode digit, which ``float`` accepts), or a
+    result of another shape. Every line handed to the reader holds text, so it skips
+    none and has no cause to warn; the warnings filters are left alone, as
+    they are process-wide.
     """
     row_ids, bodies = [], []
     for raw in data:
         row_id, _, body = raw.partition("\t")
-        if not body or body.count("\t") != width - 1 or any(c in body for c in _NOT_FLOAT_SPACE):
+        if not body or body.count("\t") != width - 1 or any(c in body for c in _NOT_FOR_LOADTXT):
             return None
         row_ids.append(row_id)
         bodies.append(body)

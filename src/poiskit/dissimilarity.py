@@ -46,8 +46,8 @@ from .count_matrix import (
 from .errors import ArgumentError, ValidationError, in_file
 from .parallel import map_ordered
 from .size_factors import (
-    METHODS,
     canonical_method,
+    check_method,
     estimate_size_factors,
     first_ten,
     row_statistic,
@@ -385,8 +385,8 @@ def read_dissimilarity(path) -> DissimilarityMatrix:
     with in_file(sidecar):
         if "measure" in meta and measure not in MEASURES:
             raise ValidationError(f"unknown measure {measure!r} (choose from {MEASURES})")
-        if "method" in meta and method not in METHODS:
-            raise ValidationError(f"unknown size-factor method {method!r} (choose from {METHODS})")
+        if "method" in meta:
+            check_method(method)
         if "n" in meta and not (type(meta["n"]) is int and meta["n"] == len(ids)):
             raise ValidationError(f"n is {meta['n']!r}, but the table has {len(ids)} rows")
     with in_file(path):

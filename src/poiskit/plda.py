@@ -161,9 +161,9 @@ class PldaModel:
         if len(self.class_names) != K:
             raise ValidationError("class_names length must equal K")
         check_unique(self.class_names, "class")
-        if self.size_factors is not None and self.size_factors.aux["p"] != p:
+        if self.size_factors is not None and self.size_factors.p != p:
             raise ValidationError(
-                f"size_factors aux p is {self.size_factors.aux['p']!r}, but g_hat has {p} features"
+                f"size_factors aux p is {self.size_factors.p}, but g_hat has {p} features"
             )
         if len(self.feature_ids) not in (0, p):
             raise ValidationError(
@@ -629,5 +629,6 @@ def read_model(path) -> PldaModel:
             return PldaModel.from_json(obj)
         except KeyError as exc:
             raise ValidationError(f"model has no {exc} field") from exc
-        except (TypeError, ValueError) as exc:  # an array field numpy cannot convert
+        # an array field numpy cannot convert, or an integer past the float range
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed model: {exc}") from exc

@@ -35,28 +35,39 @@ METHODS = ("total-count", "quantile", "median-ratio")
 
 _ALIASES = {"total": "total-count", "tc": "total-count", "mr": "median-ratio", "q": "quantile"}
 
+# the statistic each method divides its row statistics by, named by its file key
+_NORMALIZER = {"total-count": "grand_total", "quantile": "q_sum", "median-ratio": "m_sum"}
+
+
+def check_method(name) -> str:
+    """``name`` if it is one of the canonical METHODS; anything else raises naming it."""
+    if name not in METHODS:
+        raise ValidationError(f"unknown size-factor method {name!r} (choose from {METHODS})")
+    return name
+
 
 def canonical_method(name: str) -> str:
-    name = _ALIASES.get(name, name)
-    if name not in METHODS:
-        raise ValidationError(f"unknown size-factor method '{name}' (choose from {METHODS})")
-    return name
+    return check_method(_ALIASES.get(name, name))
 
 
 @dataclass(frozen=True, eq=False)
 class SizeFactors:
-    """Normalized per-sample scale estimates plus extension statistics.
+    """Normalized per-sample scale estimates plus what extends them to new rows.
 
-    ``aux`` holds what `estimate_test_size_factors` needs per method:
-    the training grand total (total-count), per-sample quantiles and their
-    sum (quantile), or per-feature geometric means, the usable-feature mask,
-    and per-sample medians with their sum (median-ratio). All methods also
-    record ``p``, the feature count, for input validation.
+    A new row's factor is its statistic (total, 75th percentile or median
+    ratio) over ``normalizer``, the training statistics' sum. The median
+    ratios are to ``geometric_means``, the training geometric means, over
+    the ``usable`` features, those positive in every training sample. ``p``
+    is the feature count. The constructor checks every field, so a record
+    built in Python obeys the rules a model file does.
     """
 
     values: np.ndarray
     method: str
-    aux: dict[str, Any]
+    normalizer: float
+    p: int
+    geometric_means: np.ndarray | None = None
+    usable: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -69,59 +80,50 @@ class SizeFactors:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown size-factor method '{self.method}'")
+        check_method(self.method)
+        if not (self.normalizer > 0 and np.isfinite(self.normalizer)):
+            raise ValidationError(f"aux {_NORMALIZER[self.method]} must be finite and positive")
+        object.__setattr__(self, "normalizer", float(self.normalizer))
+        if not (float(self.p).is_integer() and self.p >= 1):
+            raise ValidationError(f"aux p must be a positive integer, got {self.p:g}")
+        object.__setattr__(self, "p", int(self.p))
+        if self.method == "median-ratio":
+            for key, dtype in (("geometric_means", np.float64), ("usable", bool)):
+                array = np.asarray(getattr(self, key), dtype=dtype)
+                if array.shape != (self.p,):
+                    raise ValidationError(f"aux {key} must hold {self.p} entries")
+                object.__setattr__(self, key, array)
+            if not np.all(np.isfinite(self.geometric_means)):
+                raise ValidationError("aux geometric_means must be finite")
 
     def to_json(self) -> dict[str, Any]:
-        aux = {key: _aux_json(key, val) for key, val in self.aux.items()}
+        aux = {}
+        if self.method == "median-ratio":
+            aux = {"geometric_means": encode_floats(self.geometric_means),
+                   "usable": self.usable.tolist()}
+        aux |= {_NORMALIZER[self.method]: self.normalizer, "p": self.p}
         return {"values": self.values.tolist(), "method": self.method, "aux": aux}
 
     @staticmethod
     def from_json(obj: dict[str, Any]) -> "SizeFactors":
-        """Rebuild from :meth:`to_json`, checking each ``aux`` entry a test factor reads.
+        """Decode :meth:`to_json`'s form, checking JSON types; the constructor checks values.
 
-        Every float entry must be finite, the normalizer positive and ``p`` a
-        positive integer.
+        The per-sample statistics ``aux.q`` and ``aux.m`` of older files are ignored.
         """
-        if not isinstance(obj["aux"], dict):
+        saved = obj["aux"]
+        if not isinstance(saved, dict):
             raise ValidationError("aux must be a JSON object")
-        method, aux = canonical_method(obj["method"]), dict(obj["aux"])
-        normalizer = _NORMALIZER[method]
-        aux[normalizer] = json_number(aux, normalizer)
-        if not (aux[normalizer] > 0 and np.isfinite(aux[normalizer])):
-            raise ValidationError(f"aux {normalizer} must be finite and positive")
-        p = json_number(aux, "p")
-        if not (p.is_integer() and p >= 1):
-            raise ValidationError(f"aux p must be a positive integer, got {p}")
-        for key in ("geometric_means", "m", "q"):
-            if key in aux:
-                aux[key] = json_floats(aux, key)
-                if not np.all(np.isfinite(aux[key])):
-                    raise ValidationError(f"aux {key} must be finite")
-        if "usable" in aux:
-            check_json_leaves(aux["usable"], "aux usable", (bool,), "booleans")
-            aux["usable"] = np.asarray(aux["usable"], dtype=bool)
-        for key in ("geometric_means", "usable") if method == "median-ratio" else ():
-            if aux[key].shape != (p,):
-                raise ValidationError(f"aux {key} must hold {p:g} entries")
-        return SizeFactors(json_numbers(obj, "values"), method, aux)
+        method, arrays = check_method(obj["method"]), {}
+        if method == "median-ratio":
+            check_json_leaves(saved["usable"], "aux usable", (bool,), "booleans")
+            arrays = {"geometric_means": json_floats(saved, "geometric_means"),
+                      "usable": saved["usable"]}
+        normalizer, p = json_number(saved, _NORMALIZER[method]), json_number(saved, "p")
+        return SizeFactors(json_numbers(obj, "values"), method, normalizer, p, **arrays)
 
 
-def _aux_json(key: str, val):
-    """An ``aux`` entry as JSON: the per-feature geometric means as one base64 string."""
-    if key == "geometric_means":
-        return encode_floats(val)
-    return val.tolist() if isinstance(val, np.ndarray) else val
-
-
-_STATISTIC = {
-    "total-count": "total count",
-    "quantile": "75th percentile",
-    "median-ratio": "median ratio",
-}
-
-# the aux entry each method divides its row statistics by
-_NORMALIZER = {"total-count": "grand_total", "quantile": "q_sum", "median-ratio": "m_sum"}
+_STATISTIC = {"total-count": "total count", "quantile": "75th percentile",
+              "median-ratio": "median ratio"}
 
 
 def first_ten(names: list[str], count: int) -> str:
@@ -130,10 +132,11 @@ def first_ten(names: list[str], count: int) -> str:
     return ", ".join(names[:10]) + more
 
 
-def row_statistic(values: np.ndarray, method: str, aux=None, ids=None) -> np.ndarray:
+def row_statistic(values, method: str, geometric_means=None, usable=None, ids=None) -> np.ndarray:
     """Each row's total, 75th percentile, or median ratio, checked to give a size factor.
 
-    The median-ratio statistic takes the usable features of ``aux``. A size
+    The median ratio is the median of a row's ratios to ``geometric_means``
+    over the ``usable`` features, as :class:`SizeFactors` holds them. A size
     factor is its row's statistic over a normalizer, so the statistic must
     be positive and finite. Otherwise this raises naming the rows by
     ``ids``, or by index when ``ids`` is None: the zeros first, as in
@@ -146,9 +149,8 @@ def row_statistic(values: np.ndarray, method: str, aux=None, ids=None) -> np.nda
         elif method == "quantile":
             stats = np.percentile(values, 75, axis=1)
         else:
-            usable = aux["usable"]
             # the median orders an inf ratio as the huge ratio it is
-            stats = np.median(values[:, usable] / aux["geometric_means"][usable], axis=1)
+            stats = np.median(values[:, usable] / geometric_means[usable], axis=1)
     return _check_positive(stats, _STATISTIC[method], ids)
 
 
@@ -176,7 +178,7 @@ def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
     ``sample_ids`` name the rows in error messages.
     """
     method = canonical_method(method)
-    aux = {}
+    arrays = {}
     if method == "median-ratio":
         usable = np.all(values > 0, axis=0)
         if not usable.any():
@@ -187,42 +189,36 @@ def size_factors_of(values: np.ndarray, sample_ids, method: str) -> SizeFactors:
         geometric_means = np.zeros(values.shape[1])
         # geometric means in log space to avoid overflow at large p
         geometric_means[usable] = np.exp(np.mean(np.log(values[:, usable]), axis=0))
-        aux = {"geometric_means": geometric_means, "usable": usable}
-    stats = row_statistic(values, method, aux, sample_ids)
+        arrays = {"geometric_means": geometric_means, "usable": usable}
+    stats = row_statistic(values, method, **arrays, ids=sample_ids)
     with np.errstate(over="ignore"):  # an inf, reported below
         normalizer = float(values.sum() if method == "total-count" else stats.sum())
     if normalizer == np.inf:
         raise ValidationError(f"the {_STATISTIC[method]}s of {stats.size} observations sum to inf")
-    if method != "total-count":
-        aux["q" if method == "quantile" else "m"] = stats
-    aux[_NORMALIZER[method]] = normalizer
-    aux["p"] = values.shape[1]
-    return SizeFactors(stats / normalizer, method, aux)
+    return SizeFactors(stats / normalizer, method, normalizer, values.shape[1], **arrays)
 
 
 def estimate_test_size_factors(
     factors: SizeFactors, rows: np.ndarray, sample_ids=None
 ) -> np.ndarray:
-    """Extend training size factors to new observations, one per row of ``rows``.
+    """Each row's statistic over the training normalizer: a factor per new observation.
 
-    Applies the training estimator's defining statistic to each row and
-    scales it by the training normalizer, so a test observation equal to
-    training row i receives that row's (unnormalized-consistent) factor.
-    ``rows`` must be a validated ``(m, p)`` float array; row i's factor is
-    the same bits as ``estimate_test_size_factor`` of that row alone. A
-    statistic or factor that is zero or not finite raises naming its rows
-    by ``sample_ids``, or by index when None.
+    A row equal to training row i gets that row's factor. ``rows`` must be a
+    validated ``(m, p)`` float array; row i's factor is the same bits as
+    ``estimate_test_size_factor`` of that row alone. A statistic or factor
+    that is zero or not finite raises naming its rows by ``sample_ids``, or
+    by index when None.
     """
-    stats = row_statistic(rows, factors.method, factors.aux, sample_ids)
+    stats = row_statistic(rows, factors.method, factors.geometric_means, factors.usable, sample_ids)
     with np.errstate(over="ignore"):  # an inf, reported below
-        quotients = stats / factors.aux[_NORMALIZER[factors.method]]
+        quotients = stats / factors.normalizer
     return _check_positive(quotients, "size factor", sample_ids)
 
 
 def estimate_test_size_factor(factors: SizeFactors, x_star: np.ndarray) -> float:
     """:func:`estimate_test_size_factors` of one observation, checked first."""
     x_star = np.ascontiguousarray(x_star, dtype=np.float64)
-    p = factors.aux["p"]
+    p = factors.p
     if x_star.shape != (p,):
         raise ValidationError(f"test observation must hold {p} features, got shape {x_star.shape}")
     if not np.all(np.isfinite(x_star)) or np.any(x_star < 0):

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, manifests, and file contracts."""
 
 import base64
+import codecs
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
-from poiskit.plda import stratified_folds
+from poiskit.plda import read_model, stratified_folds
 
 
 def run(*argv):
@@ -603,6 +604,46 @@ def test_model_with_older_class_sums_key_predicts_the_same(trained):
             assert (root / "p" / "predictions.tsv").read_bytes() == expected
 
 
+def test_model_with_older_per_sample_statistics_predicts_the_same(trained):
+    """Older files also hold each training sample's statistic; it is ignored on load."""
+    root, models = trained
+    for method, key in (("quantile", "q"), ("median-ratio", "m")):
+        original = root / method / "model.json"
+        assert run("predict", "--counts", root / "counts.tsv", "--model", original,
+                   "--out-dir", root / "p") == 0
+        expected = (root / "p" / "predictions.tsv").read_bytes()
+        factors = models[method]["size_factors"]
+        aux = dict(factors["aux"])
+        normalizer, p = aux.pop(f"{key}_sum"), aux.pop("p")
+        stats = [v * normalizer for v in factors["values"]]
+        # the order older files wrote: the arrays, the statistics, then the normalizer and p
+        model = edited(models[method], ("size_factors", "aux"),
+                       {**aux, key: stats, f"{key}_sum": normalizer, "p": p})
+        assert predict_with(root, model) == 0
+        assert (root / "p" / "predictions.tsv").read_bytes() == expected
+        loaded = read_model(root / "edited.json").size_factors.to_json()
+        assert loaded == read_model(original).size_factors.to_json()
+
+
+@pytest.mark.parametrize("alias", ["mr", "tc", "q", "total"])
+def test_model_with_an_alias_for_its_method_exits_2_naming_the_file(trained, capsys, alias):
+    """Model files, like dissimilarity sidecars, take only the canonical method names."""
+    root, models = trained
+    model = edited(models["median-ratio"], ("size_factors", "method"), alias)
+    assert predict_with(root, model) == 2
+    assert capsys.readouterr().err == (
+        f"error: {root / 'edited.json'}: unknown size-factor method {alias!r} "
+        "(choose from ('total-count', 'quantile', 'median-ratio'))\n"
+    )
+
+
+@pytest.mark.parametrize("path", [("beta",), ("priors", 0), ("size_factors", "aux", "p")])
+def test_model_with_an_integer_past_the_float_range_exits_2_naming_the_file(trained, capsys, path):
+    root, models = trained
+    assert predict_with(root, edited(models["total-count"], path, 10**400)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {root / 'edited.json'}: ")
+
+
 @pytest.mark.parametrize(
     "path, text",
     [
@@ -732,6 +773,24 @@ def test_damaged_input_file_exits_0_or_2_naming_it(valid_inputs, data):
     assert code in (0, 2), err
     assert code == 0 or str(damaged) in err, err
     assert code == 2 or edit != "field", err
+
+
+@pytest.mark.parametrize("kind", ["counts", "labels", "partition", "dissim", "sidecar", "model"])
+def test_input_file_with_a_byte_order_mark_reads_like_its_twin(valid_inputs, kind):
+    root, commands, files = valid_inputs
+    folder = root / "bom"
+    folder.mkdir(exist_ok=True)
+    marked = folder / files[kind].name
+    marked.write_bytes(codecs.BOM_UTF8 + files[kind].read_bytes())
+    if kind in ("dissim", "sidecar"):
+        sibling = files["sidecar" if kind == "dissim" else "dissim"]
+        (folder / sibling.name).write_bytes(sibling.read_bytes())
+    outputs = []
+    for i, path in enumerate((files[kind], marked)):
+        out = folder / f"out-{kind}-{i}"
+        assert run(*commands[kind](path), "--out-dir", out) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"})
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 def test_predict_model_not_json_exits_2(sim_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Count matrix model and TSV round trips."""
 
+import codecs
 import re
 
 import numpy as np
@@ -401,6 +402,31 @@ def test_crlf_and_lone_cr_files_read_like_their_lf_twins(tmp_path):
         path.write_bytes(path.read_bytes().replace(b"x", b"\xff"))
         with pytest.raises(ParseError, match="^line 4: invalid UTF-8 in "):
             read_count_matrix(path)
+
+
+def test_files_starting_with_a_byte_order_mark_read_like_their_twins(tmp_path):
+    for kind, text, read in (
+        ("counts", TSV_2X3, read_count_matrix), ("labels", "s1\tx\ns2\ty\n", read_label_map)
+    ):
+        plain = read(write(tmp_path, text, f"{kind}.tsv"))
+        marked = tmp_path / f"{kind}-bom.tsv"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert same_counts(read(marked), plain) if kind == "counts" else read(marked) == plain
+    # the mark is no line of its own, so a bad byte on line 2 is reported there
+    marked.write_bytes(codecs.BOM_UTF8 + b"id\tf1\ns1\t\xff\n")
+    with pytest.raises(ParseError, match="^line 2: invalid UTF-8 in "):
+        read_count_matrix(marked)
+    # and only a leading mark is stripped: one inside a cell is text float() rejects
+    marked.write_bytes(b"id\tf1\ns1\t" + codecs.BOM_UTF8 + b"1\n")
+    with pytest.raises(ParseError, match="^.*: line 2: non-numeric cell in row 's1'"):
+        read_count_matrix(marked)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reader warns on a body it reads as no data
+@pytest.mark.parametrize("body", ["\r", "\n", "\r\n"])
+def test_body_holding_only_a_line_break_is_a_parse_error_on_its_line(body):
+    with pytest.raises(ParseError, match=r"^line 2: non-numeric cell in row 's0'"):
+        parse_rows(["id\tf0", "s0\t" + body], 1)
 
 
 # Cells that float() and numpy's reader take differently, or that only look numeric;

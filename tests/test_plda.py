@@ -540,9 +540,8 @@ def test_model_file_round_trip_is_bitwise(tmp_path):
     g[3] = -0.0
     geometric_means = random_bits(rng, p)
     factors = SizeFactors(
-        np.full(4, 0.25), "median-ratio",
-        {"geometric_means": geometric_means, "usable": np.ones(p, bool),
-         "m": np.ones(4), "m_sum": 4.0, "p": p},
+        np.full(4, 0.25), "median-ratio", normalizer=4.0, p=p,
+        geometric_means=geometric_means, usable=np.ones(p, bool),
     )
     with np.errstate(over="ignore"):  # the cached offsets d_hat @ g_hat overflow
         model = PldaModel(
@@ -553,7 +552,7 @@ def test_model_file_round_trip_is_bitwise(tmp_path):
         loaded = read_model(tmp_path / "model.json")
     for before, after in [
         (model.g_hat, loaded.g_hat), (model.d_hat, loaded.d_hat),
-        (geometric_means, loaded.size_factors.aux["geometric_means"]),
+        (geometric_means, loaded.size_factors.geometric_means),
     ]:
         assert after.shape == before.shape
         assert np.array_equal(after.view(np.uint64), before.view(np.uint64))

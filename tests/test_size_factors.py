@@ -1,5 +1,7 @@
 """Size factor estimators and their test-observation extensions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from poiskit.count_matrix import CountMatrix
 from poiskit.errors import ValidationError
 from poiskit.size_factors import (
+    SizeFactors,
     canonical_method,
     estimate_size_factors,
     estimate_test_size_factor,
@@ -49,14 +52,14 @@ def test_median_ratio_even_count_uses_middle_mean():
     # of two values is their mean, 1.25 for both rows
     sf = estimate_size_factors(matrix([[2, 8], [8, 2]]), "median-ratio")
     assert np.allclose(sf.values, [0.5, 0.5])
-    assert np.allclose(sf.aux["m"], [1.25, 1.25])
+    assert np.allclose(sf.values * sf.normalizer, [1.25, 1.25])
 
 
 def test_median_ratio_excludes_features_with_zeros():
     sf = estimate_size_factors(matrix([[1, 0], [2, 4]]), "median-ratio")
     assert np.allclose(sf.values, [1 / 3, 2 / 3])
-    assert list(sf.aux["usable"]) == [True, False]
-    assert np.allclose(sf.aux["m"], [1 / np.sqrt(2), 2 / np.sqrt(2)])
+    assert list(sf.usable) == [True, False]
+    assert np.allclose(sf.values * sf.normalizer, [1 / np.sqrt(2), 2 / np.sqrt(2)])
 
 
 def test_median_ratio_no_usable_feature():
@@ -70,7 +73,7 @@ def test_quantile_examples():
     sf = estimate_size_factors(matrix([[5, 5], [5, 5]]), "quantile")
     assert np.allclose(sf.values, [0.5, 0.5])
     sf = estimate_size_factors(matrix([[1, 2, 3, 4], [2, 4, 6, 8]]), "quantile")
-    assert np.allclose(sf.aux["q"], [3.25, 6.5])
+    assert np.allclose(sf.values * sf.normalizer, [3.25, 6.5])
     assert np.allclose(sf.values, [1 / 3, 2 / 3])
 
 
@@ -241,3 +244,72 @@ def test_canonical_method_aliases():
     assert canonical_method("total") == "total-count"
     with pytest.raises(ValidationError):
         canonical_method("tmm")
+
+
+
+def test_a_record_takes_only_canonical_method_names():
+    message = (
+        "unknown size-factor method 'mr' (choose from ('total-count', 'quantile', 'median-ratio'))"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SizeFactors(np.ones(1), "mr", 1.0, 1)
+    obj = {"values": [1.0], "method": "mr", "aux": {"m_sum": 1.0, "p": 1}}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SizeFactors.from_json(obj)
+
+
+# valid fields of a 2-sample record over 2 features, and the file key of each normalizer
+_FIELDS = {
+    "total-count": {"normalizer": 10.0, "p": 2},
+    "quantile": {"normalizer": 4.0, "p": 2},
+    "median-ratio": {
+        "normalizer": 2.0, "p": 2, "geometric_means": [3.0, 0.0], "usable": [True, False]
+    },
+}
+_NORMALIZER_KEY = {"total-count": "grand_total", "quantile": "q_sum", "median-ratio": "m_sum"}
+
+
+def as_file(method, fields):
+    """The parsed ``size_factors`` block of a model file holding ``fields``."""
+    aux = {_NORMALIZER_KEY[method]: fields["normalizer"], "p": fields["p"]}
+    for key in ("geometric_means", "usable"):
+        if key in fields:
+            aux[key] = np.asarray(fields[key]).tolist()
+    return {"values": [0.5, 0.5], "method": method, "aux": aux}
+
+
+@pytest.mark.parametrize(
+    "method, bad, message",
+    [
+        ("total-count", {"normalizer": 0.0}, "aux grand_total must be finite and positive"),
+        ("total-count", {"normalizer": np.inf}, "aux grand_total must be finite and positive"),
+        ("quantile", {"normalizer": np.nan}, "aux q_sum must be finite and positive"),
+        ("median-ratio", {"normalizer": -1.0}, "aux m_sum must be finite and positive"),
+        ("total-count", {"p": 0}, "aux p must be a positive integer, got 0"),
+        ("quantile", {"p": 1.5}, "aux p must be a positive integer, got 1.5"),
+        ("median-ratio", {"p": np.nan}, "aux p must be a positive integer, got nan"),
+        ("median-ratio", {"geometric_means": [3.0, 1.0, 1.0]},
+         "aux geometric_means must hold 2 entries"),
+        ("median-ratio", {"usable": [True]}, "aux usable must hold 2 entries"),
+        ("median-ratio", {"geometric_means": [3.0, np.inf]}, "aux geometric_means must be finite"),
+    ],
+)
+def test_a_record_built_directly_raises_what_its_file_raises(method, bad, message):
+    fields = {**_FIELDS[method], **bad}
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(ValidationError, match=pattern):
+        SizeFactors(np.array([0.5, 0.5]), method, **fields)
+    with pytest.raises(ValidationError, match=pattern):
+        SizeFactors.from_json(as_file(method, fields))
+
+
+@pytest.mark.parametrize("method", sorted(_FIELDS))
+def test_a_valid_record_round_trips_through_its_file_form(method):
+    built = SizeFactors(np.array([0.5, 0.5]), method, **_FIELDS[method])
+    assert not hasattr(built, "aux") and type(built.p) is int
+    obj = built.to_json()
+    assert list(obj["aux"])[-2:] == [_NORMALIZER_KEY[method], "p"]
+    read = SizeFactors.from_json(obj)
+    assert read.to_json() == obj
+    for key in ("normalizer", "p", "geometric_means", "usable"):
+        assert np.array_equal(getattr(read, key), getattr(built, key))
