@@ -142,14 +142,7 @@ def cmd_transform(args, out_dir: Path):
     with in_file(args.counts):
         result = find_alpha(matrix)
     write_count_matrix(result.matrix, out_dir / "transformed.tsv")
-    report = {
-        "alpha": result.alpha,
-        "statistic": result.statistic,
-        "target": result.target,
-        "converged": result.converged,
-        "monotone": result.monotone,
-        "evaluations": result.evaluations,
-    }
+    report = result.to_json()
     _write_json(out_dir / "transform.json", report)
     print(json.dumps(report))
     return [Path(args.counts)], {"transform": report}

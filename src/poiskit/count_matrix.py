@@ -517,9 +517,12 @@ def names_of(by_id: dict[str, str], ids) -> list[str]:
 
 
 def labeled_dataset(matrix: CountMatrix, by_id: dict[str, str]) -> LabeledDataset:
-    """``matrix`` labeled by ``by_id``; classes are numbered by first appearance in it."""
-    index_of = first_appearance_index(by_id.values())
-    labels = [index_of[name] for name in names_of(by_id, matrix.sample_ids)]
+    """``matrix`` labeled by ``by_id``; classes are numbered by first appearance in
+    ``by_id`` among the matrix's samples, and ids of no sample are ignored."""
+    names = names_of(by_id, matrix.sample_ids)
+    samples = set(matrix.sample_ids)
+    index_of = first_appearance_index(name for sid, name in by_id.items() if sid in samples)
+    labels = [index_of[name] for name in names]
     return LabeledDataset(matrix, labels, K=len(index_of), class_names=tuple(index_of))
 
 
@@ -533,7 +536,8 @@ def read_labels(path: str | Path, matrix: CountMatrix) -> LabeledDataset:
     """Attach a labels file to a matrix.
 
     Class names map to indices 1..K in order of first appearance in the
-    file. Every sample in the matrix must be labeled exactly once.
+    file, among rows that name a sample of the matrix. Every sample in the
+    matrix must be labeled exactly once; rows for other ids are ignored.
     """
     by_id = read_label_map(path)
     with in_file(path):

@@ -10,18 +10,19 @@ independent draw of equal size from the same population; the clustering
 harness computes a dissimilarity matrix, cuts the complete-linkage tree,
 and scores the partition against the generating labels with CER.
 
-Replicates are independent: each is one unit of
-:func:`poiskit.parallel.map_ordered` that writes only its own entries, so
-the output does not depend on ``threads``. The threads go to the
-replicates first; a replicate's cross-validation or pair loop gets what
-is left, ``threads // (threads across replicates)``, so threads do not
-multiply.
+Both harnesses run through one driver, :func:`_replicates`, and differ
+only in what one replicate computes from its seeds. Replicates are
+independent: each is one unit of :func:`poiskit.parallel.map_ordered`
+that returns its own values, so the output does not depend on
+``threads``. The threads go to the replicates first; a replicate's
+cross-validation or pair loop gets what is left,
+``threads // (threads across replicates)``, so threads do not multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,11 +41,22 @@ def _rep_seeds(seed: int, reps: int, streams: int) -> np.ndarray:
     return (state >> np.uint64(1)).reshape(reps, streams).astype(np.int64)
 
 
-def _rep_threads(threads: int | None, reps: int) -> tuple[int, int]:
-    """Threads across replicates, and threads inside each replicate."""
+def _replicates(
+    seed: int, reps: int, streams: int, threads: int | None,
+    rep: Callable[[list[int], int], Any],
+) -> list:
+    """``rep(seeds, inside)`` for every replicate, in replicate order.
+
+    ``seeds`` are the replicate's ``streams`` seeds, derived from ``seed``.
+    Up to ``threads`` threads run replicates side by side, at most one
+    each, and ``inside`` is what is left for each replicate's own work.
+    """
+    if reps < 1:
+        raise ValidationError("reps must be positive")
+    seeds = _rep_seeds(seed, reps, streams)
     total = threads or 1
     across = max(1, min(total, reps))
-    return across, total // across
+    return map_ordered(lambda r: rep([int(x) for x in seeds[r]], total // across), reps, across)
 
 
 def _summary(values: np.ndarray) -> dict[str, float]:
@@ -70,16 +82,9 @@ def replicate_classification(
     threads: int | None = None,
 ) -> dict[str, Any]:
     """Cross-validated classifier errors on fresh test draws."""
-    if reps < 1:
-        raise ValidationError("reps must be positive")
-    seeds = _rep_seeds(population.seed, reps, 3)
-    test_errors = np.empty(reps)
-    nonzero = np.empty(reps)
-    selected = np.empty(reps)
-    across, inside = _rep_threads(threads, reps)
 
-    def rep(r: int) -> None:
-        train_seed, test_seed, cv_seed = (int(x) for x in seeds[r])
+    def rep(seeds: list[int], inside: int) -> tuple[int, int, float]:
+        train_seed, test_seed, cv_seed = seeds
         train, test = split_train_test(simulate(replace(population, seed=train_seed)), test_seed)
         cv = cross_validate(
             train.data,
@@ -91,11 +96,11 @@ def replicate_classification(
             threads=inside,
         )
         predicted = predict_matrix(cv.model, test.data.matrix).class_index
-        test_errors[r] = int((predicted != test.data.labels).sum())
-        nonzero[r] = cv.model.nonzero_features()
-        selected[r] = cv.selected_rho
+        errors = int((predicted != test.data.labels).sum())
+        return errors, cv.model.nonzero_features(), cv.selected_rho
 
-    map_ordered(rep, reps, across)
+    columns = zip(*_replicates(population.seed, reps, 3, threads, rep))
+    test_errors, nonzero, selected = (np.array(c, dtype=np.float64) for c in columns)
     return {
         "task": "classification",
         "settings": _settings(
@@ -121,22 +126,16 @@ def replicate_clustering(
     threads: int | None = None,
 ) -> dict[str, Any]:
     """Clustering error rates of complete linkage, cut at ``cut_k`` or K clusters."""
-    if reps < 1:
-        raise ValidationError("reps must be positive")
     if cut_k is None:
         cut_k = population.K
-    seeds = _rep_seeds(population.seed, reps, 1)
-    cers = np.empty(reps)
-    across, inside = _rep_threads(threads, reps)
 
-    def rep(r: int) -> None:
-        dataset = simulate(replace(population, seed=int(seeds[r, 0])))
+    def rep(seeds: list[int], inside: int) -> float:
+        dataset = simulate(replace(population, seed=seeds[0]))
         dm = dissimilarity_matrix(dataset.data.matrix, measure, method, beta, transform, inside)
         partition = cut_tree(complete_linkage(dm), cut_k)
-        truth = Partition(dataset.data.labels, dataset.data.K)
-        cers[r] = cer(partition, truth)
+        return cer(partition, Partition(dataset.data.labels, dataset.data.K))
 
-    map_ordered(rep, reps, across)
+    cers = np.array(_replicates(population.seed, reps, 1, threads, rep), dtype=np.float64)
     return {
         "task": "clustering",
         "settings": _settings(

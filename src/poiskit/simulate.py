@@ -9,11 +9,15 @@ ratio 1 in every class. Counts are negative binomial with mean mu and
 variance mu + mu^2 * phi, realized as a gamma-Poisson mixture that
 degrades to pure Poisson at phi = 0. Everything is reproducible from the
 seed.
+
+A test draw shares the population (baselines, rate ratios, DE mask) and
+redraws only the sample scales; both draws then take their labels and
+counts from one helper, so they differ only in their truth and seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -81,25 +85,14 @@ def draw_negative_binomial(rng: np.random.Generator, mean, dispersion: float):
         raise ValidationError(f"the rates are too large to sample ({exc})") from None
 
 
-def _round_robin_labels(n: int, K: int) -> np.ndarray:
-    return (np.arange(n) % K) + 1
-
-
-def _draw_counts(
-    rng: np.random.Generator, s: np.ndarray, truth: SimulationTruth, labels: np.ndarray, phi: float
-) -> np.ndarray:
-    mu = s[:, None] * truth.g[None, :] * truth.d[labels - 1]
-    return draw_negative_binomial(rng, mu, phi).astype(np.float64)
-
-
-def _package(
-    counts: np.ndarray,
-    labels: np.ndarray,
-    truth: SimulationTruth,
-    config: SimulationConfig,
-    prefix: str,
+def _draw(
+    config: SimulationConfig, rng: np.random.Generator, truth: SimulationTruth, prefix: str,
     feature_ids: tuple[str, ...],
 ) -> SimulatedDataset:
+    """Round-robin labels and counts drawn from ``truth``, with samples named ``prefix`` 1..n."""
+    labels = (np.arange(config.n) % config.K) + 1
+    mu = truth.s[:, None] * truth.g[None, :] * truth.d[labels - 1]
+    counts = draw_negative_binomial(rng, mu, config.phi).astype(np.float64)
     matrix = CountMatrix(counts, tuple(f"{prefix}{i + 1}" for i in range(config.n)), feature_ids)
     data = LabeledDataset(
         matrix, labels, config.K, tuple(f"c{k}" for k in range(1, config.K + 1))
@@ -117,11 +110,7 @@ def simulate(config: SimulationConfig) -> SimulatedDataset:
     d = np.ones((config.K, config.p))
     d[:, de_mask] = np.exp(z[:, de_mask])
     truth = SimulationTruth(s=s, g=g, d=d, de_mask=de_mask)
-    labels = _round_robin_labels(config.n, config.K)
-    counts = _draw_counts(rng, s, truth, labels, config.phi)
-    return _package(
-        counts, labels, truth, config, "s", tuple(f"f{j + 1}" for j in range(config.p))
-    )
+    return _draw(config, rng, truth, "s", tuple(f"f{j + 1}" for j in range(config.p)))
 
 
 def split_train_test(
@@ -135,14 +124,8 @@ def split_train_test(
     """
     config = dataset.config
     rng = np.random.default_rng(seed)
-    s = rng.uniform(0.2, 2.2, config.n)
-    truth = SimulationTruth(
-        s=s, g=dataset.truth.g, d=dataset.truth.d, de_mask=dataset.truth.de_mask
-    )
-    labels = _round_robin_labels(config.n, config.K)
-    counts = _draw_counts(rng, s, truth, labels, config.phi)
-    test = _package(counts, labels, truth, config, "t", dataset.data.matrix.feature_ids)
-    return dataset, test
+    truth = replace(dataset.truth, s=rng.uniform(0.2, 2.2, config.n))
+    return dataset, _draw(config, rng, truth, "t", dataset.data.matrix.feature_ids)
 
 
 def write_truth(path, dataset: SimulatedDataset) -> None:

@@ -57,9 +57,10 @@ class SizeFactors:
     A new row's factor is its statistic (total, 75th percentile or median
     ratio) over ``normalizer``, the training statistics' sum. The median
     ratios are to ``geometric_means``, the training geometric means, over
-    the ``usable`` features, those positive in every training sample. ``p``
-    is the feature count. The constructor checks every field, so a record
-    built in Python obeys the rules a model file does.
+    the ``usable`` features, those positive in every training sample, so
+    each of their means must be positive. ``p`` is the feature count. The
+    constructor checks every field, so a record built in Python obeys the
+    rules a model file does.
     """
 
     values: np.ndarray
@@ -95,6 +96,8 @@ class SizeFactors:
                 object.__setattr__(self, key, array)
             if not np.all(np.isfinite(self.geometric_means)):
                 raise ValidationError("aux geometric_means must be finite")
+            if not np.all(self.geometric_means[self.usable] > 0):
+                raise ValidationError("aux geometric_means must be positive on usable features")
 
     def to_json(self) -> dict[str, Any]:
         aux = {}

@@ -19,7 +19,7 @@ tends to 1, so the statistic tends to that of the zero pattern. The search
 does not rely on either: if any evaluation rises as alpha falls, every grid
 point above the bracket is evaluated, as a plain downward scan would.
 Typical calls take 4 or 5 evaluations of the statistic;
-``TransformResult.evaluations`` counts them.
+``Calibration.evaluations`` counts them.
 
 Rows or columns whose totals are zero carry no information for the fit:
 they add zero terms to the statistic, and the degrees-of-freedom target
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,14 +47,15 @@ STAT_RTOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
-class TransformResult:
-    """Outcome of the exponent search.
+class Calibration:
+    """Outcome of the exponent search on a value array.
 
     ``converged`` is true when the statistic is within STAT_RTOL of the
     target, or when the raw data already satisfied the fit at alpha = 1
     (in which case the statistic may sit anywhere below the target).
     ``monotone`` is false when some evaluation of the statistic rose as
-    alpha fell; ``evaluations`` counts the statistics computed.
+    alpha fell; ``evaluations`` counts the statistics computed. ``values``
+    is the input raised to ``alpha`` (the input itself at alpha = 1).
     """
 
     alpha: float
@@ -63,20 +64,19 @@ class TransformResult:
     converged: bool
     monotone: bool
     evaluations: int
-    matrix: CountMatrix
-
-
-class Calibration(NamedTuple):
-    """Outcome of :func:`calibrate`; ``values`` is the input raised to ``alpha``
-    (the input itself at alpha = 1)."""
-
-    alpha: float
-    statistic: float
-    target: float
-    converged: bool
-    monotone: bool
-    evaluations: int
     values: np.ndarray
+
+    def to_json(self) -> dict[str, Any]:
+        """Every field but ``values``, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(Calibration) if f.name != "values"}
+
+
+@dataclass(frozen=True, eq=False)
+class TransformResult(Calibration):
+    """:class:`Calibration` of a matrix; ``matrix`` is the transformed matrix,
+    and ``values`` is ``matrix.values``."""
+
+    matrix: CountMatrix
 
 
 def _target(values: np.ndarray) -> float:
@@ -141,32 +141,21 @@ def apply_alpha(matrix: CountMatrix, alpha: float) -> CountMatrix:
 
 
 def find_alpha(matrix: CountMatrix) -> TransformResult:
-    """Search for the exponent that calibrates the goodness-of-fit statistic.
-
-    The result is the rightmost crossing of the target among the 21 grid
-    points from ALPHA_MIN to 1, refined inside its grid bracket until the
-    statistic is within 0.1% of the target or the bracket is narrower than
-    1e-6. The bracket is predicted from the log statistic at alpha = 1 and
-    at the next grid point, then checked; Illinois regula falsi refines it.
-    If any evaluation rises as alpha falls, the grid points above the
-    bracket are all evaluated, so the rightmost crossing is found without
-    assuming the statistic is monotone; ``monotone`` and ``evaluations``
-    report this. If even ALPHA_MIN leaves the statistic above target,
-    ALPHA_MIN is returned with ``converged=False`` and a warning;
-    downstream methods still run on the transformed data.
-    """
+    """:func:`calibrate` on the matrix's values, with the transformed matrix."""
     cal = calibrate(matrix.values)
-    transformed = matrix
     if cal.alpha != 1.0:
-        transformed = CountMatrix(cal.values, matrix.sample_ids, matrix.feature_ids)
-    return TransformResult(
-        cal.alpha, cal.statistic, cal.target, cal.converged, cal.monotone, cal.evaluations,
-        transformed,
-    )
+        matrix = CountMatrix(cal.values, matrix.sample_ids, matrix.feature_ids)
+    return TransformResult(**cal.to_json(), values=matrix.values, matrix=matrix)
 
 
 def calibrate(values: np.ndarray) -> Calibration:
-    """The search of :func:`find_alpha` on a raw value array.
+    """The exponent search described above, on a raw value array.
+
+    Refinement stops when the statistic is within STAT_RTOL of the target
+    or the bracket is narrower than BRACKET_TOL. If even ALPHA_MIN leaves
+    the statistic above target, ALPHA_MIN is returned with
+    ``converged=False`` and a warning; downstream methods still run on the
+    transformed data.
 
     ``values`` of the result is ``values`` itself at alpha = 1, else
     ``np.power(values, alpha)`` in the one buffer the search powers into,

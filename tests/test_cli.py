@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
 from poiskit.plda import read_model, stratified_folds
+from poiskit.transform import find_alpha
 
 
 def run(*argv):
@@ -138,6 +139,21 @@ def test_train_predict_cycle(sim_dir, tmp_path):
     manifest = json.loads((pred_dir / "manifest.json").read_text())
     assert "errors" in manifest
     assert manifest["n"] == 12
+
+
+def test_train_ignores_labels_of_ids_outside_the_counts(sim_dir, tmp_path):
+    """Such rows neither add a class nor move the numbering: the model is unchanged."""
+    text = (sim_dir / "labels.tsv").read_text()
+    files = {"plain": text, "after": text + "x1\tc9\n", "before": "x0\tc3\n" + text}
+    for name, labels in files.items():
+        (tmp_path / f"{name}.tsv").write_text(labels, encoding="utf-8")
+        assert run(
+            "train", "--counts", sim_dir / "counts.tsv", "--labels", tmp_path / f"{name}.tsv",
+            "--out-dir", tmp_path / name,
+        ) == 0
+    expected = (tmp_path / "plain" / "model.json").read_bytes()
+    assert (tmp_path / "after" / "model.json").read_bytes() == expected
+    assert (tmp_path / "before" / "model.json").read_bytes() == expected
 
 
 def test_predict_labels_order_independent(sim_dir, tmp_path):
@@ -578,6 +594,23 @@ def test_every_geometric_mean_tiny_gives_an_infinite_median_ratio_and_exits_2(tr
     assert not (out / "predictions.tsv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit", ["negated", "one zero"])
+def test_model_with_a_non_positive_usable_geometric_mean_exits_2(trained, capsys, edit):
+    """Such a mean once gave negative or infinite size factors, with exit 0."""
+    root, models = trained
+    model = older(models["median-ratio"])
+    aux = model["size_factors"]["aux"]
+    usable = [j for j, u in enumerate(aux["usable"]) if u]
+    for j in usable if edit == "negated" else usable[:1]:
+        aux["geometric_means"][j] = -aux["geometric_means"][j] if edit == "negated" else 0.0
+    assert predict_with(root, model) == 2
+    assert capsys.readouterr().err == (
+        f"error: {root / 'edited.json'}: "
+        "aux geometric_means must be positive on usable features\n"
+    )
+
+
 def test_model_json_holds_only_what_prediction_reads(trained):
     _, models = trained
     for model in models.values():
@@ -854,7 +887,9 @@ def test_transform_reports_json(sim_dir, tmp_path, capsys):
     out = tmp_path / "t"
     assert run("transform", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert set(printed) >= {"alpha", "statistic", "target", "converged", "monotone", "evaluations"}
+    keys = ["alpha", "statistic", "target", "converged", "monotone", "evaluations"]
+    assert list(printed) == keys
+    assert printed == find_alpha(read_count_matrix(sim_dir / "counts.tsv")).to_json()
     assert printed["monotone"] is True and 1 <= printed["evaluations"] <= 8
     saved = json.loads((out / "transform.json").read_text())
     assert saved == printed

@@ -311,6 +311,16 @@ def test_labels_first_appearance_order(tmp_path):
     assert list(data.labels) == [1, 2, 1]
 
 
+def test_labels_of_ids_outside_the_matrix_number_no_class(tmp_path):
+    """Classes are numbered among the rows that name a sample; other rows are ignored."""
+    m = CountMatrix([[1], [2], [3]], ("s1", "s2", "s3"), ("f1",))
+    text = "x0\tc3\ns1\ttumor\nx2\tnormal\ns2\tnormal\ns3\ttumor\nx1\tc9\n"
+    data = read_labels(write(tmp_path, text, "labels.tsv"), m)
+    assert data.K == 2
+    assert data.class_names == ("tumor", "normal")
+    assert list(data.labels) == [1, 2, 1]
+
+
 def test_labels_missing_sample(tmp_path):
     m = CountMatrix([[1], [2]], ("s1", "s2"), ("f1",))
     path = write(tmp_path, "s1\ta\n", "labels.tsv")

@@ -292,6 +292,10 @@ def as_file(method, fields):
          "aux geometric_means must hold 2 entries"),
         ("median-ratio", {"usable": [True]}, "aux usable must hold 2 entries"),
         ("median-ratio", {"geometric_means": [3.0, np.inf]}, "aux geometric_means must be finite"),
+        ("median-ratio", {"geometric_means": [0.0, 1.0]},
+         "aux geometric_means must be positive on usable features"),
+        ("median-ratio", {"geometric_means": [-3.0, 0.0]},
+         "aux geometric_means must be positive on usable features"),
     ],
 )
 def test_a_record_built_directly_raises_what_its_file_raises(method, bad, message):
