@@ -89,7 +89,13 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _write_manifest(out_dir: Path, args, inputs: list[Path], started: float, extra=None):
+# The options that name input files, in the order a manifest lists their digests.
+INPUT_OPTIONS = ("model", "counts", "dissim", "labels", "partition_a", "partition_b")
+
+
+def _write_manifest(out_dir: Path, args, started: float, extra=None):
+    """Write ``manifest.json``, digesting each input file an INPUT_OPTIONS option names."""
+    paths = [Path(path) for path in (getattr(args, key, None) for key in INPUT_OPTIONS) if path]
     options = {
         key: (str(val) if isinstance(val, Path) else val)
         for key, val in vars(args).items()
@@ -101,7 +107,7 @@ def _write_manifest(out_dir: Path, args, inputs: list[Path], started: float, ext
         "subcommand": args.subcommand,
         "options": options,
         "seed": getattr(args, "seed", None),
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(path): _sha256(path) for path in paths},
         "wall_time_seconds": time.perf_counter() - started,
     }
     if extra:
@@ -121,6 +127,11 @@ def _read_labeled(args):
         return labeled_dataset(matrix, by_id)
 
 
+def _model_options(args) -> dict:
+    """The library keywords of the flags :func:`_add_model_options` adds."""
+    return {"method": args.size_factors, "beta": args.beta, "transform": args.transform == "on"}
+
+
 def _population(args) -> SimulationConfig:
     """The population the flags of :func:`_add_population_options` describe."""
     return SimulationConfig(
@@ -134,7 +145,7 @@ def cmd_simulate(args, out_dir: Path):
     write_count_matrix(dataset.data.matrix, out_dir / "counts.tsv")
     write_labels(out_dir / "labels.tsv", dataset.data)
     write_truth(out_dir / "truth.json", dataset)
-    return [], {"outputs": ["counts.tsv", "labels.tsv", "truth.json"]}
+    return {"outputs": ["counts.tsv", "labels.tsv", "truth.json"]}
 
 
 def cmd_transform(args, out_dir: Path):
@@ -145,24 +156,17 @@ def cmd_transform(args, out_dir: Path):
     report = result.to_json()
     _write_json(out_dir / "transform.json", report)
     print(json.dumps(report))
-    return [Path(args.counts)], {"transform": report}
+    return {"transform": report}
 
 
 def cmd_train(args, out_dir: Path):
     data = _read_labeled(args)
     with in_file(f"{args.counts} and {args.labels}"):
-        model = fit(
-            data,
-            method=args.size_factors,
-            rho=args.rho,
-            beta=args.beta,
-            prior_mode=args.priors,
-            transform=args.transform == "on",
-        )
+        model = fit(data, rho=args.rho, prior_mode=args.priors, **_model_options(args))
     write_model(model, out_dir / "model.json")
     factors = map(format_number, model.size_factors.values)
     write_two_column_tsv(out_dir / "size_factors.tsv", zip(data.matrix.sample_ids, factors))
-    return [Path(args.counts), Path(args.labels)], {
+    return {
         "alpha": model.alpha,
         "nonzero_features": model.nonzero_features(),
         "outputs": ["model.json", "size_factors.tsv"],
@@ -177,7 +181,6 @@ def cmd_predict(args, out_dir: Path):
     with in_file(args.model):
         # sample ids were read from a TSV; only the model's class names can break one
         check_cells(model.class_names, "class name")
-    inputs = [Path(args.model), Path(args.counts)]
     extra = {"outputs": ["predictions.tsv"]}
     if args.labels:
         by_id = read_label_map(args.labels)
@@ -192,7 +195,6 @@ def cmd_predict(args, out_dir: Path):
         truth = np.array([index_of[name] for name in names])
         extra["errors"] = int((predictions.class_index != truth).sum())
         extra["n"] = matrix.n
-        inputs.append(Path(args.labels))
     with open(out_dir / "predictions.tsv", "w", encoding="utf-8") as handle:
         header = ["id", "class"] + [f"posterior_{c}" for c in model.class_names]
         handle.write("\t".join(header) + "\n")
@@ -200,7 +202,7 @@ def cmd_predict(args, out_dir: Path):
         for sid, k, posterior in rows:
             cells = [sid, model.class_names[k - 1]] + [format_number(v) for v in posterior]
             handle.write("\t".join(cells) + "\n")
-    return inputs, extra
+    return extra
 
 
 def cmd_cv(args, out_dir: Path):
@@ -214,19 +216,12 @@ def cmd_cv(args, out_dir: Path):
     threads = _resolve_threads(args)
     with in_file(f"{args.counts} and {args.labels}"):
         result = cross_validate(
-            data,
-            method=args.size_factors,
-            rho_grid=grid,
-            folds=args.folds,
-            seed=args.seed,
-            prior_mode=args.priors,
-            transform=args.transform == "on",
-            beta=args.beta,
-            threads=threads,
+            data, rho_grid=grid, folds=args.folds, seed=args.seed, prior_mode=args.priors,
+            threads=threads, **_model_options(args),
         )
     _write_json(out_dir / "cv.json", result.to_json())
     write_model(result.model, out_dir / "model.json")
-    return [Path(args.counts), Path(args.labels)], {
+    return {
         "alpha": result.model.alpha,
         "selected_rho": result.selected_rho,
         "outputs": ["cv.json", "model.json"],
@@ -239,11 +234,9 @@ def cmd_dissim(args, out_dir: Path):
         matrix = matrix.transpose()
     threads = _resolve_threads(args)
     with in_file(args.counts):
-        dm = dissimilarity_matrix(
-            matrix, args.measure, args.size_factors, args.beta, args.transform == "on", threads
-        )
+        dm = dissimilarity_matrix(matrix, args.measure, threads=threads, **_model_options(args))
     write_dissimilarity(dm, out_dir / "dissim.tsv")
-    return [Path(args.counts)], {
+    return {
         "outputs": ["dissim.tsv", "dissim.tsv.json"],
         "n": dm.n,
     }
@@ -255,9 +248,9 @@ def cmd_cluster(args, out_dir: Path):
     if args.labels and not args.sweep:
         raise ValidationError("--labels needs --sweep, which reads it")
     dm = read_dissimilarity(args.dissim)
-    dendrogram = complete_linkage(dm)
+    with in_file(args.dissim):
+        dendrogram = complete_linkage(dm)
     partition = cut_tree(dendrogram, args.cut_k)
-    inputs = [Path(args.dissim)]
     extra = {"outputs": ["tree.newick", "partition.tsv"]}
     if args.sweep:
         by_id = read_label_map(args.labels)
@@ -265,12 +258,11 @@ def cmd_cluster(args, out_dir: Path):
             reference = partition_of(names_of(by_id, dm.ids))
         sweep = [{"k": k, "cer": value} for k, value in cer_sweep(dendrogram, reference)]
         extra["outputs"].append("sweep.json")
-        inputs.append(Path(args.labels))
     write_newick(dendrogram, out_dir / "tree.newick")
     write_partition(out_dir / "partition.tsv", dm.ids, partition)
     if args.sweep:
         _write_json(out_dir / "sweep.json", sweep)
-    return inputs, extra
+    return extra
 
 
 def cmd_cer(args, out_dir: Path):
@@ -281,18 +273,16 @@ def cmd_cer(args, out_dir: Path):
             f"{args.partition_a} and {args.partition_b}: partitions cover different id sets"
         )
     part_a = partition_of(by_a.values())
-    value = cer(part_a, partition_of(names_of(by_b, by_a)))
+    with in_file(f"{args.partition_a} and {args.partition_b}"):
+        value = cer(part_a, partition_of(names_of(by_b, by_a)))
     report = {"cer": value, "n": part_a.n}
     _write_json(out_dir / "cer.json", report)
     print(json.dumps(report))
-    return [Path(args.partition_a), Path(args.partition_b)], report
+    return report
 
 
 def cmd_replicate(args, out_dir: Path):
-    options = {
-        "method": args.size_factors, "transform": args.transform == "on",
-        "beta": args.beta, "threads": _resolve_threads(args),
-    }
+    options = {**_model_options(args), "threads": _resolve_threads(args)}
     population = _population(args)
     if args.task == "classification":
         summary = replicate_classification(population, args.reps, folds=args.folds, **options)
@@ -318,7 +308,7 @@ def cmd_replicate(args, out_dir: Path):
     _write_json(out_dir / "summary.json", summary)
     write_two_column_tsv(out_dir / "summary.tsv", rows)
     print(headline)
-    return [], {"outputs": ["summary.json", "summary.tsv"], "headline": headline}
+    return {"outputs": ["summary.json", "summary.tsv"], "headline": headline}
 
 
 def _add_counts_options(parser):
@@ -446,13 +436,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         out_dir = _out_dir(args)
-        inputs, extra = args.func(args, out_dir)
-        _write_manifest(out_dir, args, inputs, started, extra)
+        extra = args.func(args, out_dir)
+        _write_manifest(out_dir, args, started, extra)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoiskitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PoiskitError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array's shape and size; Python's is blank
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -12,7 +12,7 @@ reproduces the plain posterior-mean ratios exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -321,17 +321,11 @@ def _fit_stats(
 
 
 def _model_from_stats(stats: FitStats, rho: float) -> PldaModel:
-    return PldaModel(
-        g_hat=stats.g_hat,
-        d_hat=shrunken_ratios(stats.a, stats.b, rho),
-        priors=stats.priors,
-        beta=stats.beta,
-        rho=rho,
-        size_factors=stats.size_factors,
-        alpha=stats.alpha,
-        class_names=stats.class_names,
-        feature_ids=stats.feature_ids,
-    )
+    """The model at ``rho``; its fields but ``d_hat`` and ``rho`` are ``stats``' of that name."""
+    shared = {
+        f.name: getattr(stats, f.name) for f in fields(PldaModel) if f.name not in ("d_hat", "rho")
+    }
+    return PldaModel(d_hat=shrunken_ratios(stats.a, stats.b, rho), rho=rho, **shared)
 
 
 def fit(
@@ -501,16 +495,11 @@ class CrossValidationResult:
     fold_errors: np.ndarray
 
     def to_json(self) -> dict[str, Any]:
+        """Every field but ``model``, in declaration order; arrays and tuples become lists."""
         return {
-            "rho_grid": self.rho_grid.tolist(),
-            "errors": self.errors.tolist(),
-            "error_rate": self.error_rate.tolist(),
-            "nonzero_features": self.nonzero_features.tolist(),
-            "selected_rho": self.selected_rho,
-            "folds": self.folds,
-            "seed": self.seed,
-            "fold_alphas": list(self.fold_alphas),
-            "fold_errors": self.fold_errors.tolist(),
+            f.name: np.asarray(getattr(self, f.name)).tolist()
+            for f in fields(CrossValidationResult)
+            if f.name != "model"
         }
 
 

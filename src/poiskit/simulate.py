@@ -17,7 +17,7 @@ counts from one helper, so they differ only in their truth and seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -129,13 +129,7 @@ def split_train_test(
 
 
 def write_truth(path, dataset: SimulatedDataset) -> None:
-    """Ground-truth JSON: s, g, d, de_mask, and the configuration echo."""
-    truth = dataset.truth
-    payload = {
-        "s": truth.s.tolist(),
-        "g": truth.g.tolist(),
-        "d": truth.d.tolist(),
-        "de_mask": truth.de_mask.astype(bool).tolist(),
-        "config": asdict(dataset.config),
-    }
+    """Ground-truth JSON: the :class:`SimulationTruth` fields in order, then ``config``."""
+    payload = {f.name: getattr(dataset.truth, f.name).tolist() for f in fields(SimulationTruth)}
+    payload["config"] = asdict(dataset.config)
     write_json_object(path, payload)

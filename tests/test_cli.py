@@ -3,17 +3,22 @@
 import base64
 import codecs
 import contextlib
+import hashlib
 import io
 import json
 import os
+import resource
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poiskit import cli
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
 from poiskit.plda import read_model, stratified_folds
@@ -116,6 +121,16 @@ def test_missing_required_arg_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("simulate", "--n", 4, "--out-dir", tmp_path / "x")
     assert excinfo.value.code == 2
+
+
+def test_out_dir_naming_a_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert run(
+        "simulate", "--n", 4, "--p", 10, "--k", 2, "--phi", 0.1, "--sigma", 0.1, "--seed", 1,
+        "--out-dir", taken,
+    ) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
 
 
 def test_train_predict_cycle(sim_dir, tmp_path):
@@ -964,6 +979,68 @@ def test_cluster_error_names_the_offending_cell(tmp_path, capsys, rows, message)
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
+def test_cluster_of_one_observation_exits_2_naming_the_file(tmp_path, capsys):
+    dissim = tmp_path / "d1.tsv"
+    dissim.write_text("id\ta\na\t0\n", encoding="utf-8")
+    out = tmp_path / "c"
+    assert run("cluster", "--dissim", dissim, "--cut-k", 1, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {dissim}: clustering needs at least 2 observations\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_cer_of_one_item_exits_2_naming_both_files(tmp_path, capsys):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text("x\tA\n", encoding="utf-8")
+    b.write_text("x\tB\n", encoding="utf-8")
+    out = tmp_path / "cer"
+    assert run("cer", "--partition-a", a, "--partition-b", b, "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {a} and {b}: CER needs at least 2 items\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_matrix_too_large_to_allocate_exits_1_with_one_line(tmp_path):
+    """60,000 features make a 26.8 GiB matrix; the child may map no more than 4 GB.
+
+    Without that limit the allocation could succeed lazily and the pair loop
+    fill it, so this command must never run unlimited.
+    """
+    values = np.random.default_rng(0).integers(1, 30, (6, 60_000)).astype(float)
+    ids = tuple(f"f{j}" for j in range(60_000))
+    counts = tmp_path / "wide.tsv"
+    write_count_matrix(CountMatrix(values, tuple(f"s{i}" for i in range(6)), ids), counts)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    out = tmp_path / "d"
+    argv = ["dissim", "--counts", counts, "--axis", "features", "--transform", "off"]
+    child = subprocess.run(
+        [sys.executable, "-m", "poiskit.cli", *map(str, argv), "--out-dir", str(out)],
+        preexec_fn=limit_address_space, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 1
+    assert child.stderr == (
+        "error: Unable to allocate 26.8 GiB for an array with shape (60000, 60000) "
+        "and data type float64\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_a_memory_error_without_a_message_exits_1_saying_so(sim_dir, tmp_path, capsys, monkeypatch):
+    def exhausted(matrix):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "find_alpha", exhausted)
+    out = tmp_path / "t"
+    assert run("transform", "--counts", sim_dir / "counts.tsv", "--out-dir", out) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--sweep"], "--sweep needs a --labels reference file"),
     (["--labels", "labels.tsv"], "--labels needs --sweep, which reads it"),
@@ -1096,6 +1173,8 @@ def test_data_errors_name_their_inputs_and_argument_errors_do_not(sim_dir, tmp_p
          "rho must be finite and nonnegative"),
         (["cv", "--counts", counts, "--labels", labels, "--rho-grid", ","],
          "rho grid must be nonempty"),
+        (["cv", "--counts", counts, "--labels", labels, "--rho-grid", "abc"],
+         "bad --rho-grid 'abc'"),
         (["cv", "--counts", counts, "--labels", labels, "--folds", 1],
          "folds must be at least 2"),
         (["dissim", "--counts", counts, "--beta", -1], "beta must be finite and nonnegative"),
@@ -1173,6 +1252,39 @@ def test_manifest_records_input_digests(sim_dir, tmp_path):
     digest = list(manifest["inputs"].values())[0]
     assert digest.startswith("sha256:")
     assert manifest["version"]
+
+
+def test_manifest_inputs_of_every_subcommand(sim_dir, tmp_path):
+    """Each manifest digests exactly the run's input files, in the order listed."""
+    counts, labels = sim_dir / "counts.tsv", sim_dir / "labels.tsv"
+    model, dissim = tmp_path / "train" / "model.json", tmp_path / "dissim" / "dissim.tsv"
+    partition = tmp_path / "cluster" / "partition.tsv"
+    population = ["--n", 6, "--p", 40, "--k", 2, "--phi", 0.01, "--sigma", 0.3, "--seed", 1]
+    runs = [
+        ("simulate", ["simulate", *population], []),
+        ("transform", ["transform", "--counts", counts], [counts]),
+        ("train", ["train", "--counts", counts, "--labels", labels], [counts, labels]),
+        ("predict", ["predict", "--counts", counts, "--model", model], [model, counts]),
+        ("predict-labels",
+         ["predict", "--counts", counts, "--model", model, "--labels", labels],
+         [model, counts, labels]),
+        ("cv", ["cv", "--counts", counts, "--labels", labels, "--folds", 3], [counts, labels]),
+        ("dissim", ["dissim", "--counts", counts], [counts]),
+        ("cluster", ["cluster", "--dissim", dissim, "--cut-k", 3], [dissim]),
+        ("cluster-sweep",
+         ["cluster", "--dissim", dissim, "--cut-k", 3, "--sweep", "--labels", labels],
+         [dissim, labels]),
+        ("cer", ["cer", "--partition-a", partition, "--partition-b", labels], [partition, labels]),
+        ("replicate", ["replicate", "clustering", *population, "--reps", 1], []),
+    ]
+    for name, argv, inputs in runs:
+        assert run(*argv, "--out-dir", tmp_path / name) == 0, name
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(path): "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in inputs
+        }, name
+        assert list(manifest["inputs"]) == [str(path) for path in inputs], name
 
 
 @given(

@@ -212,6 +212,8 @@ def test_predict_validates_input():
         predict(model, [-1.0], s_star=1.0)
     with pytest.raises(ValidationError, match="s_star"):
         predict(model, [1.0])
+    with pytest.raises(ValidationError, match="^s_star must be positive$"):
+        predict(model, [1.0], s_star=0)
 
 
 def test_predict_applies_transform_exponent():

@@ -230,6 +230,11 @@ def test_test_factor_error_cases():
         estimate_test_size_factor(sf, np.zeros(2))
     with pytest.raises(ValidationError, match="features"):
         estimate_test_size_factor(sf, np.ones(3))
+    for bad in (-1.0, np.nan):
+        with pytest.raises(
+            ValidationError, match="^test observations must be finite and nonnegative$"
+        ):
+            estimate_test_size_factor(sf, np.array([1.0, bad]))
     qf = estimate_size_factors(m, "quantile")
     with pytest.raises(ValidationError, match="percentile"):
         estimate_test_size_factor(qf, np.array([0.0, 0.0]))
