@@ -17,13 +17,31 @@ The n x n matrix is stored whole, and each pair is computed exactly once:
 row i's pairs (i, j > i) are written into row i above the diagonal and
 copied into column i below it, so symmetry is structural and the diagonal
 stays zero. Row i's pairs are filled a tile at a time: row i against the
-next max(1, _TILE_ELEMENTS // p) rows, evaluated by the vectorized kernel
-that also computes a single pair. Each thread allocates one workspace of
-tile-sized buffers and every kernel step writes into it, so a tile
-allocates nothing of its own size; terms that depend on one row only
-(totals, 75th percentiles, ``x + beta``) are taken once per matrix. Every
-pair's size-factor precondition is checked before the loop, so no tile can
-fail; a pair whose arithmetic overflows gets NaN or inf, which
+next max(1, _TILE_ELEMENTS // w) rows over w = min(p, _FEATURE_BLOCK)
+features, by the vectorized kernel that also computes a single pair. A
+pair's sums over features add up block after block in feature order, so a
+tile's memory does not grow with p, and no dot product is long enough for
+OpenBLAS to split it over threads of its own (it does past 10,000
+elements).
+
+For ``beta > 0`` the kernel takes the sum over features inside four dot
+products, D = (s1 g.(1 - d1) + s2 g.(1 - d2)) + (x.log d1 + y.log d2),
+with g = x + y, d = (x + beta) / (s g + beta) and s the pair's shares of
+its size factors: 11 elementwise passes over a tile and 4 dot products.
+Each thread allocates one workspace of four tile-sized buffers and every
+kernel step writes into it, so a tile allocates nothing of its own size.
+Terms that depend on one row only (totals, 75th percentiles, ``x + beta``)
+are taken once per matrix, and the shares once per row (once per tile
+under median-ratio, whose factors come from the tile's rows); row i's
+partial sums are combined, clamped at zero and copied into column i once
+per row. While it fills rows, a thread sets numpy's ufunc buffer to one
+tile row: with the default 8,192 elements numpy copies a broadcast row or
+column through the buffer whenever two tile rows fit in it, which halves
+the speed of those passes, and a much smaller buffer slows casts such as
+a count of booleans.
+
+Every pair's size-factor precondition is checked before the loop, so no
+tile can fail; a pair whose arithmetic overflows gets NaN or inf, which
 :class:`DissimilarityMatrix` names afterwards. Threads take whole rows, so
 they write disjoint slots and never change the result.
 """
@@ -56,6 +74,7 @@ from .transform import find_alpha
 
 MEASURES = ("poisson", "sq-euclidean")
 _TILE_ELEMENTS = 32_768
+_FEATURE_BLOCK = 8_192
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +179,8 @@ def _median_ratio_factors(x: np.ndarray, Y: np.ndarray):
     return _row_medians(X[usable] / gm, usable), _row_medians(Y[usable] / gm, usable)
 
 
-# (tile, p) float64 buffers in each thread's workspace for the Poisson kernel
-_POISSON_BUFFERS = 5
+# (tile, width) float64 buffers in each thread's workspace for the Poisson kernel
+_POISSON_BUFFERS = 4
 
 
 def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray, out: np.ndarray) -> None:
@@ -173,61 +192,85 @@ def _xlog_ratio(x: np.ndarray, n_hat: np.ndarray, out: np.ndarray) -> None:
     np.multiply(x, out, out=out, where=mask)
 
 
-def _poisson_block(values: np.ndarray, beta: float, terms):
+def _shares(f1, f2, out: np.ndarray) -> None:
+    """out[0] = f1 / (f1 + f2) and out[1] = f2 / (f1 + f2)."""
+    total = f1 + f2
+    np.divide(f1, total, out=out[0])
+    np.divide(f2, total, out=out[1])
+
+
+def _poisson_rows(values: np.ndarray, beta: float, terms):
     """The Poisson kernel over the rows of ``values``, for :func:`_pairwise`.
 
-    ``terms`` holds :func:`_pair_terms` of ``values``.
-    ``block(i, lo, hi, ws, out)`` writes the dissimilarities between row i
-    and rows lo..hi-1 into ``out``; every elementwise step writes into the
-    ``(_POISSON_BUFFERS, hi - lo, p)`` workspace ``ws``, so a tile
-    allocates nothing of its own size.
+    ``terms`` holds :func:`_pair_terms` of ``values``. ``row(i, ws, out)``
+    writes the dissimilarities between row i and rows i+1.. into ``out``;
+    every elementwise step writes into the ``(_POISSON_BUFFERS, tile,
+    width)`` workspace ``ws``, so a tile allocates nothing of its own size.
+    A pair's sums over features add up one feature block after another.
     """
+    p = values.shape[1]
     # x + beta and y + beta depend on one row each: shift the matrix once
     shifted = values + beta if beta > 0.0 else None
+    sums = 1 if shifted is None else 4
 
-    def block(i, lo, hi, ws, out):
-        x, Y = values[i], values[lo:hi]
-        if terms is None:
-            f1, f2 = _median_ratio_factors(x, Y)
-        else:
-            f1, f2 = terms[i], terms[lo:hi]
-        total = f1 + f2
-        s1, s2 = f1 / total, f2 / total
-        g, n1, n2, d1, t = ws
-        np.add(x, Y, out=g)
-        np.multiply(s1[:, None], g, out=n1)
-        np.multiply(s2[:, None], g, out=n2)
+    def row(i, ws, out):
+        tile, width = ws.shape[1:]
+        x, m = values[i], out.size
+        # per pair: its two size-factor shares, its sums and a later block's sums
+        acc = np.empty((2 + 2 * sums, m))
+        shares, part, more = acc[:2], acc[2 : 2 + sums], acc[2 + sums :]
+        if terms is not None:
+            _shares(terms[i], terms[i + 1 :], shares)
+        for t in range(0, m, tile):
+            lo = i + 1 + t
+            Y = values[lo : lo + tile]
+            k = len(Y)
+            if terms is None:
+                _shares(*_median_ratio_factors(x, Y), shares[:, t : t + k])
+            for a in range(0, p, width):
+                b = min(a + width, p)
+                xa, Ya = x[a:b], Y[:, a:b]
+                g, d, e = ws[0, :k, : b - a], ws[1:3, :k, : b - a], ws[3, :k, : b - a]
+                into = (part if a == 0 else more)[:, t : t + k]
+                np.add(xa, Ya, out=g)
+                np.multiply(shares[:, t : t + k, None], g, out=d)
+                if shifted is None:
+                    # n = s g; e = (n1 + n2) - g + (x log(x / n1) + y log(y / n2))
+                    n1, n2 = d
+                    np.add(n1, n2, out=e)
+                    np.subtract(e, g, out=e)
+                    _xlog_ratio(xa, n1, g)
+                    _xlog_ratio(Ya, n2, n1)
+                    np.add(g, n1, out=g)
+                    np.add(e, g, out=e)
+                    e.sum(axis=1, out=into[0])
+                else:
+                    # d = (x + beta) / (s g + beta); with the sum over features
+                    # inside each dot product,
+                    # D = (s1 g.(1 - d1) + s2 g.(1 - d2)) + (x.log d1 + y.log d2)
+                    np.add(d, beta, out=d)
+                    np.divide(shifted[i, a:b], d[0], out=d[0])
+                    np.divide(shifted[lo : lo + k, a:b], d[1], out=d[1])
+                    for j in (0, 1):
+                        np.subtract(1.0, d[j], out=e)
+                        np.vecdot(g, e, out=into[j])
+                    np.log(d, out=d)
+                    np.vecdot(xa, d[0], out=into[2])
+                    np.vecdot(Ya, d[1], out=into[3])
+                if a > 0:
+                    np.add(part[:, t : t + k], into, out=part[:, t : t + k])
         if shifted is None:
-            # t = (n1 + n2) - g + (x log(x / n1) + y log(y / n2))
-            np.add(n1, n2, out=t)
-            np.subtract(t, g, out=t)
-            _xlog_ratio(x, n1, d1)
-            _xlog_ratio(Y, n2, g)
+            out[:] = part[0]
         else:
-            # d = (x + beta) / (n + beta);
-            # t = (n1 + n2) - (n1 d1 + n2 d2) + (x log d1 + y log d2)
-            d2 = g
-            np.add(n1, beta, out=d1)
-            np.divide(shifted[i], d1, out=d1)
-            np.add(n2, beta, out=d2)
-            np.divide(shifted[lo:hi], d2, out=d2)
-            np.add(n1, n2, out=t)
-            np.multiply(n1, d1, out=n1)
-            np.multiply(n2, d2, out=n2)
-            np.add(n1, n2, out=n1)
-            np.subtract(t, n1, out=t)
-            np.log(d1, out=d1)
-            np.multiply(x, d1, out=d1)
-            np.log(d2, out=d2)
-            np.multiply(Y, d2, out=d2)
-        np.add(d1, g, out=d1)
-        np.add(t, d1, out=t)
-        t.sum(axis=1, out=out)
+            np.multiply(shares, part[:2], out=part[:2])
+            np.add(part[0], part[1], out=out)
+            np.add(part[2], part[3], out=part[2])
+            np.add(out, part[2], out=out)
         # nonnegative up to rounding; snap accumulated round-off to zero, and
         # leave a NaN from overflowing arithmetic for DissimilarityMatrix to name
         out[out <= 0.0] = 0.0
 
-    return block
+    return row
 
 
 def poisson_pair_dissimilarity(
@@ -248,35 +291,49 @@ def poisson_pair_dissimilarity(
         raise ValidationError("count vectors must be finite and nonnegative")
     _check_beta(beta)
     ids, method = ("x_i", "x_iprime"), canonical_method(method)
-    block = _poisson_block(pair, beta, _pair_terms(pair, ids, method))
-    dm = DissimilarityMatrix(_pairwise(pair, block, _POISSON_BUFFERS, 1), ids, "poisson", method)
-    return float(dm.values[0, 1])
+    full = _poisson_pairwise(pair, ids, method, beta, 1)
+    return float(DissimilarityMatrix(full, ids, "poisson", method).values[0, 1])
 
 
-def _pairwise(values: np.ndarray, block_fn, buffers: int, threads: int | None) -> np.ndarray:
-    """Symmetric n x n matrix filled by ``block_fn(i, lo, hi, ws, out)``.
+def _poisson_pairwise(values: np.ndarray, ids, method: str, beta: float, threads) -> np.ndarray:
+    """The full matrix of Poisson dissimilarities between the rows of ``values``."""
+    rows = _poisson_rows(values, beta, _pair_terms(values, ids, method))
+    return _pairwise(values, rows, _POISSON_BUFFERS, threads, _FEATURE_BLOCK)
 
-    The block writes row i's pairs with rows lo..hi-1 into ``out``, the
-    slice ``[i, lo:hi]``, using ``ws``, a ``(buffers, hi - lo, p)`` view of
-    its unit's own workspace; the tile is then copied into column i. Each
-    of the ``threads`` units of :func:`poiskit.parallel.map_ordered` takes a
-    strided share of the rows, the calling thread the first, and allocates
-    its workspace once for every tile of its rows.
+
+def _pairwise(
+    values: np.ndarray, row_fn, buffers: int, threads: int | None, width: int | None = None
+) -> np.ndarray:
+    """Symmetric n x n matrix filled a row at a time by ``row_fn(i, ws, out)``.
+
+    The kernel writes row i's pairs with rows i+1..n-1 into ``out``, the
+    slice ``[i, i+1:]``, a tile of rows at a time, using ``ws``, its unit's
+    own ``(buffers, tile, width)`` workspace: ``width`` is at most p (p
+    when None) and a tile spans max(1, _TILE_ELEMENTS // width) rows. The
+    row is then copied into column i. Each of the ``threads`` units of
+    :func:`poiskit.parallel.map_ordered` takes a strided share of the rows,
+    the calling thread the first, and allocates its workspace once for
+    every row it fills.
     """
     n, p = values.shape
+    width = min(p, width or p)
     full = np.zeros((n, n))
-    tile = max(1, min(_TILE_ELEMENTS // p, n - 1))
+    tile = max(1, min(_TILE_ELEMENTS // width, n - 1))
     workers = max(1, min(threads or 1, n - 1))
 
     def fill(w: int) -> None:
-        workspace = np.empty((buffers, tile, p))
-        # errstate is per thread; an overflow's inf or NaN is named by DissimilarityMatrix
-        with np.errstate(all="ignore"):
-            for i in range(w, n - 1, workers):
-                for lo in range(i + 1, n, tile):
-                    hi = min(lo + tile, n)
-                    block_fn(i, lo, hi, workspace[:, : hi - lo], full[i, lo:hi])
-                    full[lo:hi, i] = full[i, lo:hi]
+        workspace = np.empty((buffers, tile, width))
+        # the buffer size, like errstate, is per thread: one row of the tile
+        # (in numpy's multiples of 16) leaves its broadcasts unbuffered
+        bufsize = np.setbufsize(min(8_192, -(-width // 16) * 16))
+        try:
+            # an overflow's inf or NaN is named by DissimilarityMatrix
+            with np.errstate(all="ignore"):
+                for i in range(w, n - 1, workers):
+                    row_fn(i, workspace, full[i, i + 1 :])
+                    full[i + 1 :, i] = full[i, i + 1 :]
+        finally:
+            np.setbufsize(bufsize)
 
     map_ordered(fill, workers, workers)
     return full
@@ -307,9 +364,7 @@ def poisson_dissimilarity_matrix(
     method = canonical_method(method)
     if transform:
         matrix = find_alpha(matrix).matrix
-    values = matrix.values
-    block = _poisson_block(values, beta, _pair_terms(values, matrix.sample_ids, method))
-    full = _pairwise(values, block, _POISSON_BUFFERS, threads)
+    full = _poisson_pairwise(matrix.values, matrix.sample_ids, method, beta, threads)
     return DissimilarityMatrix(full, matrix.sample_ids, "poisson", method)
 
 
@@ -327,13 +382,16 @@ def sq_euclidean_dissimilarity_matrix(
     factors = estimate_size_factors(matrix, method)
     scaled = matrix.values / factors.values[:, None]
 
-    def block(i, lo, hi, ws, out):
-        diff = ws[0]
-        np.subtract(scaled[i], scaled[lo:hi], out=diff)
-        np.square(diff, out=diff)
-        diff.sum(axis=1, out=out)
+    def row(i, ws, out):
+        tile = ws.shape[1]
+        for t in range(0, out.size, tile):
+            Y = scaled[i + 1 + t : i + 1 + t + tile]
+            diff = ws[0, : len(Y)]
+            np.subtract(scaled[i], Y, out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=1, out=out[t : t + len(Y)])
 
-    full = _pairwise(scaled, block, 1, threads)
+    full = _pairwise(scaled, row, 1, threads)
     return DissimilarityMatrix(full, matrix.sample_ids, "sq-euclidean", method)
 
 
@@ -348,8 +406,10 @@ def dissimilarity_matrix(
     """All pairwise dissimilarities between samples under the named measure.
 
     Features are measured by passing ``matrix.transpose()``. ``beta`` and
-    ``transform`` apply to the Poisson measure only.
+    ``transform`` apply to the Poisson measure only, but ``beta`` is
+    checked under either measure.
     """
+    _check_beta(beta)
     # names are looked up at call time, so a rebinding of either builder holds here
     if measure == "poisson":
         return poisson_dissimilarity_matrix(matrix, method, beta, transform, threads)

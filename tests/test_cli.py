@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from poiskit import cli
 from poiskit.cli import main
 from poiskit.count_matrix import CountMatrix, read_count_matrix, write_count_matrix
+from poiskit.dissimilarity import MEASURES
 from poiskit.plda import read_model, stratified_folds
 from poiskit.transform import find_alpha
 
@@ -407,6 +408,26 @@ def test_non_finite_beta_exits_2(sim_dir, tmp_path):
         ) == 2
     assert not (tmp_path / "t" / "model.json").exists()
     assert not (tmp_path / "d" / "dissim.tsv").exists()
+
+
+def test_a_bad_beta_exits_2_under_either_measure(sim_dir, tmp_path, capsys):
+    counts = sim_dir / "counts.tsv"
+    capsys.readouterr()
+    for measure in MEASURES:
+        for beta in ("-3", "nan"):
+            out = tmp_path / f"{measure}{beta}"
+            assert run(
+                "dissim", "--counts", counts, "--measure", measure, "--beta", beta,
+                "--out-dir", out,
+            ) == 2
+            assert capsys.readouterr().err == "error: beta must be finite and nonnegative\n"
+            assert not (out / "dissim.tsv").exists()
+        assert run(
+            "replicate", "clustering", "--n", 6, "--p", 30, "--phi", 0, "--sigma", 0.1,
+            "--seed", 1, "--reps", 1, "--measure", measure, "--beta", -1,
+            "--out-dir", tmp_path / f"rep-{measure}",
+        ) == 2
+        assert capsys.readouterr().err == "error: beta must be finite and nonnegative\n"
 
 
 @pytest.fixture(scope="module")

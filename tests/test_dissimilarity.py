@@ -14,6 +14,7 @@ from oracles import multinomial_lrt, scalar_pair_dissimilarity
 from poiskit import cli, dissimilarity
 from poiskit.count_matrix import CountMatrix, write_count_matrix
 from poiskit.dissimilarity import (
+    _FEATURE_BLOCK,
     _POISSON_BUFFERS,
     _TILE_ELEMENTS,
     MEASURES,
@@ -329,6 +330,18 @@ def test_beta_validation(beta):
         poisson_pair_dissimilarity([1.0, 2.0], [3.0, 1.0], beta=beta)
 
 
+def test_sq_euclidean_checks_beta_too():
+    m = matrix([[1.0, 2.0], [3.0, 1.0]])
+    for beta in (-3.0, np.nan):
+        with pytest.raises(ArgumentError, match=r"^beta must be finite and nonnegative$"):
+            dissimilarity_matrix(m, "sq-euclidean", beta=beta)
+        with pytest.raises(ArgumentError, match=r"^beta must be finite and nonnegative$"):
+            replicate_clustering(
+                SimulationConfig(n=6, p=30, K=2, phi=0.0, sigma=0.1, seed=1), reps=1,
+                measure="sq-euclidean", beta=beta,
+            )
+
+
 def test_zero_total_observations_are_listed_up_front():
     values = np.ones((15, 4))
     values[[1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14]] = 0.0
@@ -364,6 +377,50 @@ def test_tiles_allocate_nothing_beyond_the_workspaces(threads):
     # of small objects; one tile-sized temporary more would be 256 kB
     bound = 2 * square + 8 * n * p + threads * (workspace + 2**16) + 32_000
     assert peak < bound
+
+
+# --- feature blocks ---
+
+@pytest.mark.parametrize(
+    "p", (_FEATURE_BLOCK - 1, _FEATURE_BLOCK, _FEATURE_BLOCK + 1, 2 * _FEATURE_BLOCK + 5)
+)
+@pytest.mark.parametrize("beta", (0.0, 1.0))
+@pytest.mark.parametrize("method", METHODS)
+def test_feature_block_edges(method, beta, p):
+    # a pair's sums add up block after block: one block, one full block,
+    # one feature past it, and a short third block
+    rng = np.random.default_rng(p)
+    rows = rng.integers(0, 60, (5, p)) * (rng.random((5, 1)) * 3)
+    rows[4] = rows[1]
+    full = poisson_dissimilarity_matrix(matrix(rows), method, beta, transform=False).values
+    threaded = poisson_dissimilarity_matrix(
+        matrix(rows), method, beta, transform=False, threads=3
+    ).values
+    assert np.array_equal(full, threaded)
+    swapped = poisson_dissimilarity_matrix(matrix(rows[::-1]), method, beta, transform=False)
+    assert np.array_equal(swapped.values, full[::-1, ::-1])
+    assert full[1, 4] == 0.0
+    for i in range(5):
+        for j in range(i + 1, 5):
+            assert full[i, j] == poisson_pair_dissimilarity(rows[i], rows[j], method, beta)
+            assert full[i, j] == pytest.approx(
+                scalar_pair_dissimilarity(rows[i], rows[j], method, beta), rel=1e-10
+            )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_near_duplicate_rows_stay_accurate(method):
+    # D is a few 1e-3 while its per-feature terms are about 1e3: the kernel's
+    # sums over features cancel, and their error scales with the rows' totals
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(1, 61, 1_000) * 100.0
+        y = x.copy()
+        y[rng.choice(1_000, 5, replace=False)] += 1.0
+        ours = poisson_pair_dissimilarity(x, y, method)
+        assert ours > 0.0
+        error = abs(ours - scalar_pair_dissimilarity(x, y, method))
+        assert error <= 1e-13 * (x.sum() + y.sum())
 
 
 # --- squared Euclidean baseline ---
